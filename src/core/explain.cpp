@@ -89,7 +89,7 @@ Result<std::string> explain_read_json(const Scheme& scheme, ElementId start, std
         out += ",\"stripe\":" + std::to_string(a.coord.stripe);
         out += ",\"group\":" + std::to_string(a.coord.group);
         out += ",\"position\":" + std::to_string(a.coord.position);
-        out += std::string(",\"requested\":") + (a.requested ? "true" : "false") + "}";
+        out += std::string(",\"requested\":") + (a.requested() ? "true" : "false") + "}";
     }
     out += "]";
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <set>
+#include <limits>
 #include <tuple>
 
 #include "obs/metrics.h"
@@ -43,29 +43,53 @@ void note_plan(const AccessPlan& plan, PlanKindMetrics PlannerMetrics::* kind) {
     m.fanout->record(fanout);
 }
 
-/// Dedup key for an element within a plan.
-using Key = std::tuple<StripeId, int, int>;
-
-Key key_of(const GroupCoord& c) { return {c.stripe, c.group, c.position}; }
-
-/// Bookkeeping shared by both planners.
+/// Bookkeeping shared by the degraded and reconstruction planners.
+/// Dedup is a flat table over every (stripe, group, position) of the
+/// stripes the plan can touch, holding the element's SlotRef once the
+/// plan fetches or decodes it.
 struct PlanBuilder {
-    explicit PlanBuilder(const Scheme& scheme, const std::vector<char>* stragglers = nullptr)
-        : scheme(scheme), plan(scheme.disks()), stragglers(stragglers) {}
+    PlanBuilder(const Scheme& scheme, StripeId first_stripe, StripeId stripes,
+                const std::vector<char>* stragglers = nullptr)
+        : scheme(scheme),
+          plan(scheme.disks()),
+          stragglers(stragglers),
+          first_stripe(first_stripe),
+          groups(static_cast<std::size_t>(scheme.layout().groups_per_stripe())),
+          positions(static_cast<std::size_t>(scheme.code().n())),
+          refs(static_cast<std::size_t>(stripes) * groups * positions, kNone) {}
 
-    /// Fetch the element at `coord` once; later duplicate fetches are
-    /// no-ops. All requested fetches happen before any repair fetch, so a
-    /// duplicate can never need a requested-flag upgrade.
-    void fetch(const GroupCoord& coord, bool requested) {
-        if (!seen.insert(key_of(coord)).second) return;
-        Access access;
-        access.coord = coord;
-        access.loc = scheme.layout().locate(coord);
-        access.requested = requested;
-        plan.add_fetch(access);
+    static constexpr SlotRef kNone = std::numeric_limits<SlotRef>::min();
+
+    std::size_t index(const GroupCoord& c) const {
+        return (static_cast<std::size_t>(c.stripe - first_stripe) * groups +
+                static_cast<std::size_t>(c.group)) *
+                   positions +
+               static_cast<std::size_t>(c.position);
     }
 
-    bool fetched(const GroupCoord& coord) const { return seen.count(key_of(coord)) > 0; }
+    /// Fetch the element at `coord` once; later duplicate fetches return
+    /// the existing slot. All requested fetches happen before any repair
+    /// fetch, so a duplicate can never need a request-index upgrade.
+    SlotRef fetch(const GroupCoord& coord, std::int64_t request) {
+        SlotRef& r = refs[index(coord)];
+        if (r != kNone) return r;
+        r = static_cast<SlotRef>(plan.fetches().size());
+        plan.add_fetch({scheme.layout().locate(coord), coord, request});
+        return r;
+    }
+
+    /// Fetch the repair's sources and record its recipe for `target`.
+    void decode(const GroupCoord& target, codes::ElementRepair repair, std::int64_t request) {
+        GroupDecode d{target.stripe, target.group, std::move(repair), {}, request};
+        d.sources.reserve(d.repair.terms.size());
+        for (const auto& term : d.repair.terms) {
+            d.sources.push_back(fetch({target.stripe, target.group, term.source_position}, -1));
+        }
+        refs[index(target)] = AccessPlan::decode_ref(plan.decodes().size());
+        plan.add_decode(std::move(d));
+    }
+
+    bool fetched(const GroupCoord& coord) const { return refs[index(coord)] >= 0; }
 
     int disk_load(DiskId d) const { return plan.per_disk_loads()[static_cast<std::size_t>(d)]; }
 
@@ -77,8 +101,11 @@ struct PlanBuilder {
 
     const Scheme& scheme;
     AccessPlan plan;
-    std::set<Key> seen;
     const std::vector<char>* stragglers = nullptr;
+    StripeId first_stripe;
+    std::size_t groups;
+    std::size_t positions;
+    std::vector<SlotRef> refs;
 };
 
 /// Survivor positions of the target's group, greedy-ordered: free riders
@@ -228,13 +255,18 @@ void attach_planner_metrics(obs::MetricRegistry* registry) {
 }
 
 AccessPlan plan_normal_read(const Scheme& scheme, ElementId start, std::int64_t count) {
-    PlanBuilder b(scheme);
+    // Requested elements are distinct, so a normal read needs no dedup.
+    const auto& layout = scheme.layout();
+    AccessPlan plan(scheme.disks());
+    plan.reserve(static_cast<std::size_t>(std::max<std::int64_t>(count, 0)));
     for (std::int64_t i = 0; i < count; ++i) {
-        b.fetch(scheme.layout().coord_of_data(start + i), /*requested=*/true);
+        const GroupCoord coord = layout.coord_of_data(start + i);
+        plan.add_fetch({layout.locate(coord), coord, i});
     }
-    b.plan.set_requested(count);
-    note_plan(b.plan, &PlannerMetrics::normal);
-    return std::move(b.plan);
+    plan.set_requested(count);
+    plan.build_schedule();
+    note_plan(plan, &PlannerMetrics::normal);
+    return plan;
 }
 
 Result<AccessPlan> plan_degraded_read(const Scheme& scheme, ElementId start, std::int64_t count,
@@ -246,7 +278,13 @@ Result<AccessPlan> plan_degraded_read(const Scheme& scheme, ElementId start, std
                                       const std::vector<DiskId>& failed_disks, DegradedPolicy policy,
                                       const std::vector<char>* stragglers) {
     const auto& layout = scheme.layout();
-    PlanBuilder b(scheme, stragglers);
+    // Repair sources share their target's stripe, so the request's stripe
+    // span bounds every element the plan can touch.
+    const StripeId first_stripe = count > 0 ? layout.coord_of_data(start).stripe : 0;
+    const StripeId stripes =
+        count > 0 ? layout.coord_of_data(start + count - 1).stripe - first_stripe + 1 : 0;
+    PlanBuilder b(scheme, first_stripe, stripes, stragglers);
+    b.plan.reserve(static_cast<std::size_t>(std::max<std::int64_t>(count, 0)));
 
     std::vector<bool> disk_failed(static_cast<std::size_t>(scheme.disks()), false);
     for (DiskId d : failed_disks) {
@@ -256,13 +294,17 @@ Result<AccessPlan> plan_degraded_read(const Scheme& scheme, ElementId start, std
     auto alive = [&](const GroupCoord& c) { return !disk_failed[static_cast<std::size_t>(layout.locate(c).disk)]; };
 
     // Pass 1: requested elements on surviving disks are plain fetches.
-    std::vector<GroupCoord> failed_elements;
+    struct Lost {
+        GroupCoord coord;
+        std::int64_t request;
+    };
+    std::vector<Lost> failed_elements;
     for (std::int64_t i = 0; i < count; ++i) {
         const GroupCoord coord = layout.coord_of_data(start + i);
         if (alive(coord)) {
-            b.fetch(coord, /*requested=*/true);
+            b.fetch(coord, i);
         } else {
-            failed_elements.push_back(coord);
+            failed_elements.push_back({coord, i});
         }
     }
 
@@ -271,16 +313,14 @@ Result<AccessPlan> plan_degraded_read(const Scheme& scheme, ElementId start, std
     // substripe; exactly one for classic w = 1 codes), so f failed disks
     // erase up to f * w elements per group — each gets its own repair,
     // with the dedup in fetch() sharing sources across them.
-    for (const GroupCoord& target : failed_elements) {
-        auto repair = choose_repair(b, target, disk_failed, policy);
+    for (const Lost& lost : failed_elements) {
+        auto repair = choose_repair(b, lost.coord, disk_failed, policy);
         if (!repair.ok()) return repair.error();
-        for (const auto& term : repair->terms) {
-            b.fetch({target.stripe, target.group, term.source_position}, /*requested=*/false);
-        }
-        b.plan.add_decode({target.stripe, target.group, std::move(repair).take()});
+        b.decode(lost.coord, std::move(repair).take(), lost.request);
     }
 
     b.plan.set_requested(count);
+    b.plan.build_schedule();
     note_plan(b.plan, &PlannerMetrics::degraded);
     return std::move(b.plan);
 }
@@ -288,7 +328,7 @@ Result<AccessPlan> plan_degraded_read(const Scheme& scheme, ElementId start, std
 Result<AccessPlan> plan_reconstruction(const Scheme& scheme, DiskId failed_disk, StripeId stripes) {
     if (failed_disk < 0 || failed_disk >= scheme.disks()) return Error::range("no such disk");
     const auto& layout = scheme.layout();
-    PlanBuilder b(scheme);
+    PlanBuilder b(scheme, 0, stripes);
 
     std::vector<bool> disk_failed(static_cast<std::size_t>(scheme.disks()), false);
     disk_failed[static_cast<std::size_t>(failed_disk)] = true;
@@ -299,13 +339,11 @@ Result<AccessPlan> plan_reconstruction(const Scheme& scheme, DiskId failed_disk,
         const GroupCoord target = layout.coord_at({failed_disk, row});
         auto repair = choose_repair(b, target, disk_failed, DegradedPolicy::local_first);
         if (!repair.ok()) return repair.error();
-        for (const auto& term : repair->terms) {
-            b.fetch({target.stripe, target.group, term.source_position}, /*requested=*/false);
-        }
-        b.plan.add_decode({target.stripe, target.group, std::move(repair).take()});
+        b.decode(target, std::move(repair).take(), -1);
         ++rebuilt;
     }
     b.plan.set_requested(rebuilt);
+    b.plan.build_schedule();
     note_plan(b.plan, &PlannerMetrics::reconstruction);
     return std::move(b.plan);
 }

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 
 #include "codes/erasure_code.h"
+#include "gf/kernels.h"
 
 namespace ecfrm::exec {
 
@@ -105,11 +106,11 @@ Status PlanExecutor::read_with_policy(DiskId disk, RowId row, ByteSpan out,
 }
 
 Status PlanExecutor::device_read(DiskId disk, RowId row, ByteSpan out) const {
-    return read_with_policy(disk, row, out, recovery());
+    return read_with_policy(disk, row, out, options());
 }
 
 Status PlanExecutor::device_write(DiskId disk, RowId row, ConstByteSpan data) const {
-    const RecoveryOptions opts = recovery();
+    const RecoveryOptions& opts = options();
     const ExecutorMetrics& m = metrics();
     for (int attempt = 0;; ++attempt) {
         Status status = devices_[static_cast<std::size_t>(disk)]->write(row, data);
@@ -232,7 +233,7 @@ Status PlanExecutor::submit_write_queue(DiskId disk, std::span<const RowId> rows
 Result<PlanExecutor::WriteReport> PlanExecutor::write(const core::WritePlan& plan,
                                                       std::span<const ConstByteSpan> payloads,
                                                       TraceCtx tc, bool allow_degraded) const {
-    const RecoveryOptions opts = recovery();
+    const RecoveryOptions& opts = options();
     const ExecutorMetrics& m = metrics();
     obs::DiskHeatModel* const heat = this->heat();
     const auto& writes = plan.writes();
@@ -342,11 +343,10 @@ void PlanExecutor::run_hedged_queue(HedgeState& state, std::size_t a) const {
     q.issue_us = obs::forensic_now_us();
     const auto t0 = std::chrono::steady_clock::now();
     if (heat != nullptr) heat->on_issue(q.disk);
-    std::vector<ByteSpan> outs;
-    outs.reserve(q.bufs.size());
-    for (ElementBuf& buf : q.bufs) outs.push_back(buf.span());
-    q.status = submit_queue(q.disk, q.rows, std::span<const ByteSpan>(outs.data(), outs.size()),
-                            state.opts, &q.done_ops, TraceCtx{});
+    const std::size_t n = q.end - q.begin;
+    q.status = submit_queue(q.disk, std::span<const RowId>(state.rows).subspan(q.begin, n),
+                            std::span<const ByteSpan>(state.outs).subspan(q.begin, n),
+                            *state.opts, &q.done_ops, TraceCtx{});
     q.dur_us =
         std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0).count();
     if (heat != nullptr) {
@@ -359,20 +359,64 @@ void PlanExecutor::run_hedged_queue(HedgeState& state, std::size_t a) const {
     }
 }
 
+namespace {
+
+GroupCoord slot_coord(const AccessPlan& plan, std::size_t slot) {
+    if (slot < plan.fetches().size()) return plan.fetches()[slot].coord;
+    const core::GroupDecode& d = plan.decodes()[slot - plan.fetches().size()];
+    return {d.stripe, d.group, d.repair.target_position};
+}
+
+/// Replan carry-over: every held slot of `old_plan` moves to the slot of
+/// `next` with the same coordinates (a fetch may become a decode target
+/// or the reverse), so recovery never re-reads what it already holds.
+std::vector<Slot> carry_over(const AccessPlan& old_plan, std::vector<Slot>& old_slots,
+                             const AccessPlan& next) {
+    using Key = std::tuple<StripeId, int, int>;
+    auto key = [](const GroupCoord& c) { return Key{c.stripe, c.group, c.position}; };
+    std::vector<std::pair<Key, std::size_t>> held;
+    for (std::size_t s = 0; s < old_slots.size(); ++s) {
+        if (old_slots[s].held) held.emplace_back(key(slot_coord(old_plan, s)), s);
+    }
+    std::sort(held.begin(), held.end());
+    std::vector<Slot> slots(next.slots());
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+        const Key k = key(slot_coord(next, s));
+        auto it = std::lower_bound(held.begin(), held.end(), std::make_pair(k, std::size_t{0}));
+        if (it != held.end() && it->first == k) slots[s] = std::move(old_slots[it->second]);
+    }
+    return slots;
+}
+
+}  // namespace
+
 Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
                                                       std::vector<DiskId> excluded,
                                                       obs::RequestTrace* rt,
-                                                      const Sink& sink) const {
-    const RecoveryOptions opts = recovery();
+                                                      ReadDest dest) const {
+    const RecoveryOptions& opts = options();
     const ExecutorMetrics& m = metrics();
     obs::Tracer* const tracer = this->tracer();
     obs::DiskHeatModel* const heat = this->heat();
 
-    // Elements fetched (or hedge-decoded) so far, kept across replan
-    // rounds so recovery never re-reads what it already holds.
-    ElementMap fetched;
+    // The request's element state: one slot per plan slot, kept across
+    // replan rounds (by coordinates) so recovery never re-reads what it
+    // already holds.
     std::optional<AccessPlan> plan;
+    std::vector<Slot> slots;
     bool request_load_recorded = false;  // heat records max load once per request
+
+    // One round's per-disk submission queues over flat arrays: queue
+    // [q.begin, q.end) issues rows[j] into outs[j] for fetch slot idx[j].
+    // A round with nothing held issues the plan's own schedule; only a
+    // replan round copies out the fetches it still lacks.
+    std::span<const std::size_t> idx;
+    std::span<const RowId> rows;
+    std::span<const core::DiskRun> queues;
+    std::vector<std::size_t> idx_left;
+    std::vector<RowId> rows_left;
+    std::vector<core::DiskRun> queues_left;
+    std::vector<ByteSpan> outs;
 
     // Issue everything the plan wants that we don't already hold, one
     // submission queue per disk — in parallel across disks when a thread
@@ -385,6 +429,33 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
         FetchOutcome outcome;
         const auto& fetches = p.fetches();
 
+        bool any_held = false;
+        for (std::size_t i = 0; i < fetches.size() && !any_held; ++i) any_held = slots[i].held;
+        if (!any_held) {
+            idx = p.schedule_fetches();
+            rows = p.schedule_rows();
+            queues = p.runs();
+        } else {
+            idx_left.clear();
+            rows_left.clear();
+            queues_left.clear();
+            const auto order = p.schedule_fetches();
+            const auto order_rows = p.schedule_rows();
+            for (const core::DiskRun& run : p.runs()) {
+                const std::size_t begin = idx_left.size();
+                for (std::size_t j = run.begin; j < run.end; ++j) {
+                    if (slots[order[j]].held) continue;
+                    idx_left.push_back(order[j]);
+                    rows_left.push_back(order_rows[j]);
+                }
+                if (idx_left.size() > begin) queues_left.push_back({run.disk, begin, idx_left.size()});
+            }
+            idx = idx_left;
+            rows = rows_left;
+            queues = queues_left;
+        }
+        if (queues.empty()) return outcome;
+
         // Effective hedge deadline for this round: static hedge_ms, or —
         // under auto_hedge with a warm heat window — derived from the
         // participating disks' live windowed p99 (median * factor), so
@@ -393,7 +464,7 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
         double hedge_deadline_ms = opts.hedge_ms;
         if (opts.auto_hedge && heat != nullptr && pool_ != nullptr) {
             std::vector<int> participating;
-            for (const core::DiskBatch& b : p.batches()) participating.push_back(b.disk);
+            for (const core::DiskRun& run : p.runs()) participating.push_back(run.disk);
             const double derived =
                 heat->hedge_deadline_ms(participating, opts.auto_hedge_factor,
                                         opts.auto_hedge_min_ms,
@@ -402,63 +473,47 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
         }
         const bool hedge_mode = pool_ != nullptr && hedge_deadline_ms > 0.0;
 
-        // Per-element buffers for this round; each belongs to exactly one
-        // queue, so queue workers never share a buffer (the map itself is
-        // built before dispatch and only looked up afterwards). Hedged
-        // rounds skip it: their queue tasks own their buffers outright so
-        // a straggling queue can outlive this frame.
-        ElementMap round;
-        std::vector<core::DiskBatch> queues;
-        for (core::DiskBatch& batch : p.batches()) {
-            core::DiskBatch pending;
-            pending.disk = batch.disk;
-            for (std::size_t j = 0; j < batch.fetch_indices.size(); ++j) {
-                const std::size_t i = batch.fetch_indices[j];
-                const Key key = key_of(fetches[i].coord);
-                if (fetched.find(key) != fetched.end()) continue;
-                pending.fetch_indices.push_back(i);
-                pending.rows.push_back(batch.rows[j]);
-                if (!hedge_mode) {
-                    round.try_emplace(key, make_element(key, sink));
-                }
+        // Destinations: each pending slot keeps the buffer an earlier
+        // round gave it, or gets its place in `dest` (requested elements)
+        // or staging. Each belongs to exactly one queue, so queue workers
+        // never share a slot. Hedged rounds skip this: their queue tasks
+        // own their buffers outright so a straggling queue can outlive
+        // this frame.
+        if (!hedge_mode) {
+            outs.resize(idx.size());
+            for (std::size_t j = 0; j < idx.size(); ++j) {
+                Slot& slot = slots[idx[j]];
+                if (slot.buf.data() == nullptr) slot.buf = make_element(fetches[idx[j]].request, dest);
+                outs[j] = slot.buf.span();
             }
-            if (!pending.fetch_indices.empty()) queues.push_back(std::move(pending));
         }
-        if (queues.empty()) return outcome;
 
         if (heat != nullptr && !request_load_recorded) {
             // First round's deepest queue is the request's max per-disk
             // load — the measured twin of closed_form_max_load.
             request_load_recorded = true;
             std::size_t max_load = 0;
-            for (const core::DiskBatch& q : queues) {
-                max_load = std::max(max_load, q.fetch_indices.size());
-            }
+            for (const core::DiskRun& q : queues) max_load = std::max(max_load, q.end - q.begin);
             heat->on_request(static_cast<std::int64_t>(max_load),
                              obs::DiskHeatModel::now_seconds());
         }
 
         std::mutex state_mu;
-        std::set<Key> succeeded;          // guarded by state_mu
         std::vector<DiskId> bad;          // guarded by state_mu
         std::optional<Error> last_error;  // guarded by state_mu
 
         auto run_queue = [&](std::size_t a) {
-            const core::DiskBatch& queue = queues[a];
+            const core::DiskRun& queue = queues[a];
+            const std::size_t n = queue.end - queue.begin;
             const double issue_us = tracer != nullptr ? tracer->now_us() : 0.0;
             const double rt_issue_us = rt != nullptr ? obs::forensic_now_us() : 0.0;
             const auto heat_t0 = heat != nullptr ? std::chrono::steady_clock::now()
                                                  : std::chrono::steady_clock::time_point{};
             if (heat != nullptr) heat->on_issue(queue.disk);
-            std::vector<ByteSpan> outs;
-            outs.reserve(queue.fetch_indices.size());
-            for (std::size_t i : queue.fetch_indices) {
-                outs.push_back(round.find(key_of(fetches[i].coord))->second.span());
-            }
             std::size_t done = 0;
-            auto status = submit_queue(queue.disk, queue.rows,
-                                       std::span<const ByteSpan>(outs.data(), outs.size()), opts,
-                                       &done, TraceCtx{rt, fetch_node});
+            auto status = submit_queue(queue.disk, rows.subspan(queue.begin, n),
+                                       std::span<const ByteSpan>(outs).subspan(queue.begin, n),
+                                       opts, &done, TraceCtx{rt, fetch_node});
             if (heat != nullptr) {
                 const double queue_us = std::chrono::duration<double, std::micro>(
                                             std::chrono::steady_clock::now() - heat_t0)
@@ -475,28 +530,25 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
                 const std::uint32_t batch_node = rt->complete(
                     fetch_node, "disk.batch", rt_issue_us, obs::forensic_now_us() - rt_issue_us,
                     {obs::RequestTrace::IntAttr{"disk", queue.disk},
-                     {"elements", static_cast<std::int64_t>(queue.fetch_indices.size())},
+                     {"elements", static_cast<std::int64_t>(n)},
                      {"done", static_cast<std::int64_t>(done)},
                      {"bytes", static_cast<std::int64_t>(done) * element_bytes_}});
                 if (!status.ok()) rt->attr(batch_node, "error", status.error().message);
             }
-            {
+            // This queue's slots are its own: mark them without a lock.
+            for (std::size_t j = 0; j < done; ++j) slots[idx[queue.begin + j]].held = true;
+            if (!status.ok()) {
+                // The device is suspect: abandon its remaining queue and
+                // let the replan route around it.
                 std::lock_guard<std::mutex> lock(state_mu);
-                for (std::size_t j = 0; j < done; ++j) {
-                    succeeded.insert(key_of(fetches[queue.fetch_indices[j]].coord));
-                }
-                if (!status.ok()) {
-                    // The device is suspect: abandon its remaining queue
-                    // and let the replan route around it.
-                    bad.push_back(queue.disk);
-                    last_error = status.error();
-                    return;
-                }
+                bad.push_back(queue.disk);
+                last_error = status.error();
+                return;
             }
             if (tracer != nullptr) {
                 tracer->complete("disk.batch", "io", issue_us, tracer->now_us() - issue_us,
                                  {{"disk", std::to_string(queue.disk)},
-                                  {"elements", std::to_string(queue.fetch_indices.size())}});
+                                  {"elements", std::to_string(n)}});
             }
         };
 
@@ -513,13 +565,12 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
         bool async_overlap =
             !hedge_mode && pool_ == nullptr && opts.op_timeout_ms <= 0.0 && queues.size() > 1;
         if (async_overlap) {
-            for (const core::DiskBatch& q : queues) {
+            for (const core::DiskRun& q : queues) {
                 async_overlap =
                     async_overlap && devices_[static_cast<std::size_t>(q.disk)]->async_reads();
             }
         }
 
-        ElementMap hedged;
         if (hedge_mode) {
             // Hedged execution: every queue is a self-contained task that
             // owns its buffers and co-owns the shared round state. When
@@ -531,20 +582,21 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
             // its true stall latency, and its late payload is dropped
             // with the last shared reference to the state.
             auto state = std::make_shared<HedgeState>();
-            state->opts = opts;
+            state->opts = &opts;
+            state->rows.assign(rows.begin(), rows.end());
+            state->bufs.reserve(idx.size());
+            state->outs.reserve(idx.size());
+            for (std::size_t j = 0; j < idx.size(); ++j) {
+                state->bufs.push_back(
+                    ElementBuf::alloc(static_cast<std::size_t>(element_bytes_), buffer_pool_));
+                state->outs.push_back(state->bufs.back().span());
+            }
             state->queue_done.assign(queues.size(), 0);
             state->queues.resize(queues.size());
             for (std::size_t a = 0; a < queues.size(); ++a) {
-                HedgeState::Queue& hq = state->queues[a];
-                hq.disk = queues[a].disk;
-                hq.rows = queues[a].rows;
-                hq.keys.reserve(queues[a].fetch_indices.size());
-                hq.bufs.reserve(queues[a].fetch_indices.size());
-                for (std::size_t i : queues[a].fetch_indices) {
-                    hq.keys.push_back(key_of(fetches[i].coord));
-                    hq.bufs.push_back(
-                        ElementBuf::alloc(static_cast<std::size_t>(element_bytes_), buffer_pool_));
-                }
+                state->queues[a].disk = queues[a].disk;
+                state->queues[a].begin = queues[a].begin;
+                state->queues[a].end = queues[a].end;
             }
             for (std::size_t a = 0; a < queues.size(); ++a) {
                 orphan_started();
@@ -584,25 +636,28 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
                                   {"auto", opts.auto_hedge ? "true" : "false"}});
                 }
                 for (std::size_t a : stragglers) {
-                    for (std::size_t i : queues[a].fetch_indices) {
-                        const Key key = key_of(fetches[i].coord);
+                    for (std::size_t j = queues[a].begin; j < queues[a].end; ++j) {
+                        const core::Access& access = fetches[idx[j]];
                         if (m.hedged_reads != nullptr) m.hedged_reads->add(1);
                         if (rt != nullptr) rt->count_hedge();
                         ElementBuf target =
                             ElementBuf::alloc(static_cast<std::size_t>(element_bytes_),
                                               buffer_pool_);
                         const double hedge_t0 = rt != nullptr ? obs::forensic_now_us() : 0.0;
-                        const bool decoded = side_decode(fetches[i].coord, avoid, target.span());
+                        const bool decoded = side_decode(access.coord, avoid, target.span());
                         if (rt != nullptr) {
                             rt->complete(fetch_node, "hedge.decode", hedge_t0,
                                          obs::forensic_now_us() - hedge_t0,
                                          {{"disk", std::to_string(queues[a].disk)},
-                                          {"stripe", std::to_string(fetches[i].coord.stripe)},
-                                          {"group", std::to_string(fetches[i].coord.group)},
-                                          {"position", std::to_string(fetches[i].coord.position)},
+                                          {"stripe", std::to_string(access.coord.stripe)},
+                                          {"group", std::to_string(access.coord.group)},
+                                          {"position", std::to_string(access.coord.position)},
                                           {"decoded", decoded ? "true" : "false"}});
                         }
-                        if (decoded) hedged.emplace(key, std::move(target));
+                        if (decoded) {
+                            slots[idx[j]].buf = std::move(target);
+                            slots[idx[j]].held = true;
+                        }
                     }
                 }
                 lock.lock();
@@ -615,8 +670,8 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
                 state->cv.wait(lock, [&] {
                     for (std::size_t a : stragglers) {
                         if (state->queue_done[a] != 0) continue;
-                        for (const Key& key : state->queues[a].keys) {
-                            if (hedged.find(key) == hedged.end()) return false;
+                        for (std::size_t j = queues[a].begin; j < queues[a].end; ++j) {
+                            if (!slots[idx[j]].held) return false;
                         }
                     }
                     return true;
@@ -630,11 +685,12 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
             for (std::size_t a = 0; a < state->queues.size(); ++a) {
                 if (finished[a] == 0) continue;
                 HedgeState::Queue& hq = state->queues[a];
+                const std::size_t n = hq.end - hq.begin;
                 if (rt != nullptr) {
                     const std::uint32_t batch_node = rt->complete(
                         fetch_node, "disk.batch", hq.issue_us, hq.dur_us,
                         {obs::RequestTrace::IntAttr{"disk", hq.disk},
-                         {"elements", static_cast<std::int64_t>(hq.keys.size())},
+                         {"elements", static_cast<std::int64_t>(n)},
                          {"done", static_cast<std::int64_t>(hq.done_ops)},
                          {"bytes", static_cast<std::int64_t>(hq.done_ops) * element_bytes_}});
                     if (!hq.status.ok()) rt->attr(batch_node, "error", hq.status.error().message);
@@ -642,56 +698,56 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
                 if (tracer != nullptr) {
                     tracer->complete("disk.batch", "io", tracer->now_us() - hq.dur_us, hq.dur_us,
                                      {{"disk", std::to_string(hq.disk)},
-                                      {"elements", std::to_string(hq.keys.size())}});
+                                      {"elements", std::to_string(n)}});
                 }
                 if (!hq.status.ok()) {
                     bad.push_back(hq.disk);
                     last_error = hq.status.error();
                 }
-                for (std::size_t j = 0; j < hq.done_ops; ++j) {
-                    fetched.emplace(hq.keys[j], std::move(hq.bufs[j]));
+                for (std::size_t j = hq.begin; j < hq.begin + hq.done_ops; ++j) {
+                    Slot& slot = slots[idx[j]];
+                    if (slot.held) continue;  // hedge-decoded already
+                    slot.buf = std::move(state->bufs[j]);
+                    slot.held = true;
                 }
             }
         } else if (async_overlap) {
             struct Flight {
-                std::vector<ByteSpan> outs;
                 std::unique_ptr<store::BlockDevice::AsyncBatch> batch;
                 double issue_us = 0.0;     // tracer clock
                 double rt_issue_us = 0.0;  // forensic clock
                 std::chrono::steady_clock::time_point heat_t0;
             };
+            const std::span<const ByteSpan> all_outs(outs);
             std::vector<Flight> flights(queues.size());
             for (std::size_t a = 0; a < queues.size(); ++a) {
-                const core::DiskBatch& queue = queues[a];
+                const core::DiskRun& queue = queues[a];
                 Flight& f = flights[a];
                 f.issue_us = tracer != nullptr ? tracer->now_us() : 0.0;
                 f.rt_issue_us = rt != nullptr ? obs::forensic_now_us() : 0.0;
                 f.heat_t0 = std::chrono::steady_clock::now();
                 if (heat != nullptr) heat->on_issue(queue.disk);
-                f.outs.reserve(queue.fetch_indices.size());
-                for (std::size_t i : queue.fetch_indices) {
-                    f.outs.push_back(round.find(key_of(fetches[i].coord))->second.span());
-                }
+                const std::size_t n = queue.end - queue.begin;
                 f.batch = devices_[static_cast<std::size_t>(queue.disk)]->submit_read_batch(
-                    queue.rows, std::span<const ByteSpan>(f.outs.data(), f.outs.size()));
+                    rows.subspan(queue.begin, n), all_outs.subspan(queue.begin, n));
             }
             for (std::size_t a = 0; a < queues.size(); ++a) {
-                const core::DiskBatch& queue = queues[a];
+                const core::DiskRun& queue = queues[a];
+                const std::size_t n = queue.end - queue.begin;
                 Flight& f = flights[a];
                 std::size_t done = 0;
                 Status status = f.batch->await(&done);
                 f.batch.reset();
                 if (!status.ok() && status.error().code == Error::Code::io_error &&
-                    opts.max_retries > 0 && done < queue.rows.size()) {
+                    opts.max_retries > 0 && done < n) {
                     // Recover the suffix through the policy path: the
                     // failed op and everything behind it get the retry /
                     // backoff machinery, re-reading over whatever the
                     // abandoned async ops may have scribbled.
                     std::size_t more = 0;
-                    const std::span<const RowId> rows(queue.rows);
-                    const std::span<const ByteSpan> outs(f.outs.data(), f.outs.size());
-                    status = submit_queue(queue.disk, rows.subspan(done), outs.subspan(done),
-                                          opts, &more, TraceCtx{rt, fetch_node});
+                    status = submit_queue(queue.disk, rows.subspan(queue.begin + done, n - done),
+                                          all_outs.subspan(queue.begin + done, n - done), opts,
+                                          &more, TraceCtx{rt, fetch_node});
                     done += more;
                 }
                 if (heat != nullptr) {
@@ -711,7 +767,7 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
                         fetch_node, "disk.batch", f.rt_issue_us,
                         obs::forensic_now_us() - f.rt_issue_us,
                         {obs::RequestTrace::IntAttr{"disk", queue.disk},
-                         {"elements", static_cast<std::int64_t>(queue.fetch_indices.size())},
+                         {"elements", static_cast<std::int64_t>(n)},
                          {"done", static_cast<std::int64_t>(done)},
                          {"bytes", static_cast<std::int64_t>(done) * element_bytes_}});
                     if (!status.ok()) rt->attr(batch_node, "error", status.error().message);
@@ -720,17 +776,11 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
                     tracer->complete("disk.batch", "io", f.issue_us,
                                      tracer->now_us() - f.issue_us,
                                      {{"disk", std::to_string(queue.disk)},
-                                      {"elements", std::to_string(queue.fetch_indices.size())}});
+                                      {"elements", std::to_string(n)}});
                 }
-                // Single-threaded: harvest straight into `fetched` (the
-                // shared `succeeded` set is for the pooled paths) and let
-                // any recipe whose sources just completed decode now,
+                // Let any recipe whose sources just completed decode now,
                 // overlapping the disks still in flight.
-                for (std::size_t j = 0; j < done; ++j) {
-                    const Key key = key_of(fetches[queue.fetch_indices[j]].coord);
-                    auto it = round.find(key);
-                    fetched.emplace(key, std::move(it->second));
-                }
+                for (std::size_t j = 0; j < done; ++j) slots[idx[queue.begin + j]].held = true;
                 if (!status.ok()) {
                     bad.push_back(queue.disk);
                     last_error = status.error();
@@ -738,8 +788,7 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
                 }
                 // Partial mode cannot fail: recipes missing sources are
                 // skipped and re-tried by the final decode stage.
-                Status eager = try_decode(p, fetched, /*partial=*/true,
-                                          TraceCtx{rt, fetch_node}, sink);
+                Status eager = try_decode(p, slots, /*partial=*/true, TraceCtx{rt, fetch_node}, dest);
                 (void)eager;
             }
         } else if (pool_ != nullptr && queues.size() > 1) {
@@ -748,15 +797,8 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
             for (std::size_t a = 0; a < queues.size(); ++a) run_queue(a);
         }
 
-        for (const Key& key : succeeded) {
-            auto it = round.find(key);
-            fetched.emplace(key, std::move(it->second));
-        }
-        for (auto& [key, buf] : hedged) {
-            if (fetched.find(key) == fetched.end()) fetched.emplace(key, std::move(buf));
-        }
-        for (const auto& access : fetches) {
-            if (fetched.find(key_of(access.coord)) == fetched.end()) {
+        for (std::size_t i = 0; i < fetches.size(); ++i) {
+            if (!slots[i].held) {
                 outcome.complete = false;
                 break;
             }
@@ -795,6 +837,9 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
         if (round > 0) {
             if (m.replans != nullptr) m.replans->add(1);
             if (rt != nullptr) rt->count_replan();
+            slots = carry_over(*plan, slots, planned.value());
+        } else {
+            slots.resize(planned.value().slots());
         }
         plan.emplace(std::move(planned).take());
 
@@ -824,44 +869,51 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
         }
     }
 
-    return FetchResult{std::move(*plan), std::move(fetched), std::move(excluded)};
+    return FetchResult{std::move(*plan), std::move(slots), std::move(excluded)};
 }
 
-Status PlanExecutor::decode(const AccessPlan& plan, ElementMap& elements, TraceCtx tc,
-                            const Sink& sink) const {
-    return try_decode(plan, elements, /*partial=*/false, tc, sink);
+Status PlanExecutor::decode(const AccessPlan& plan, std::vector<Slot>& slots, TraceCtx tc,
+                            ReadDest dest) const {
+    return try_decode(plan, slots, /*partial=*/false, tc, dest);
 }
 
-Status PlanExecutor::try_decode(const AccessPlan& plan, ElementMap& elements, bool partial,
-                                TraceCtx tc, const Sink& sink) const {
+Status PlanExecutor::try_decode(const AccessPlan& plan, std::vector<Slot>& slots, bool partial,
+                                TraceCtx tc, ReadDest dest) const {
     const ExecutorMetrics& m = metrics();
-    for (const auto& decode : plan.decodes()) {
-        const Key target_key{decode.stripe, decode.group, decode.repair.target_position};
+    const std::size_t first = plan.fetches().size();
+    std::vector<ConstByteSpan> srcs;
+    std::vector<std::uint8_t> coeffs;
+    std::vector<ByteSpan> target_span;
+    for (std::size_t d = 0; d < plan.decodes().size(); ++d) {
+        const core::GroupDecode& decode = plan.decodes()[d];
+        Slot& target = slots[first + d];
         // Recipes run in plan order (later recipes may chain on earlier
         // targets); ones already satisfied by an eager pass are skipped,
         // so each recipe is decoded and counted exactly once per fetch.
-        if (elements.find(target_key) != elements.end()) continue;
+        if (target.held) continue;
         const double decode_t0 = tc.rt != nullptr ? obs::forensic_now_us() : 0.0;
-        std::vector<ByteSpan> buffers(static_cast<std::size_t>(scheme_->code().n()));
+        srcs.clear();
+        coeffs.clear();
         bool ready = true;
-        for (const auto& term : decode.repair.terms) {
-            auto it = elements.find({decode.stripe, decode.group, term.source_position});
-            if (it == elements.end()) {
+        for (std::size_t t = 0; t < decode.sources.size(); ++t) {
+            const Slot& source = slots[plan.slot(decode.sources[t])];
+            if (!source.held) {
                 if (partial) {
                     ready = false;
                     break;
                 }
                 return Error::internal("decode source missing from plan");
             }
-            buffers[static_cast<std::size_t>(term.source_position)] = it->second.span();
+            srcs.push_back(source.buf.span());
+            coeffs.push_back(decode.repair.terms[t].coeff);
         }
         if (!ready) continue;
-        ElementBuf target = make_element(target_key, sink);
-        buffers[static_cast<std::size_t>(decode.repair.target_position)] = target.span();
-        codes::DecodePlan one;
-        one.repairs.push_back(decode.repair);
-        codes::ErasureCode::apply_plan(one, buffers, pool_);
-        elements.emplace(target_key, std::move(target));
+        if (target.buf.data() == nullptr) target.buf = make_element(decode.request, dest);
+        target_span.assign(1, target.buf.span());
+        // One fused single-destination pass (the target never appears
+        // among its own sources).
+        gf::encode_regions(srcs, target_span, coeffs.data(), pool_);
+        target.held = true;
         if (m.decodes != nullptr) m.decodes->add(1);
         if (tc.rt != nullptr) {
             tc.rt->add_decodes(1);

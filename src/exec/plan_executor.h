@@ -18,18 +18,21 @@
 // three share one I/O policy. All methods are thread-safe: N readers may
 // call fetch() concurrently, and recovery options / observability can be
 // swapped while requests are in flight.
+//
+// Per-request element state is a flat slot table indexed like the plan:
+// fetch i is slot i, decode recipe d's target is slot fetches + d. A slot
+// is a buffer (executor staging or a view of caller memory) plus a "held"
+// flag; requested elements land in caller memory by their request index.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
-#include <tuple>
 #include <vector>
 
 #include "common/aligned_buffer.h"
@@ -95,6 +98,26 @@ struct ExecutorMetrics {
     obs::Counter* degraded_writes = nullptr;  // elements skipped on failed devices
 };
 
+/// One element a request holds or will hold, at its plan slot.
+struct Slot {
+    /// Executor staging (pool/heap) or a view of caller memory.
+    ElementBuf buf;
+    /// The buffer holds the element's bytes (fetched, hedged or decoded).
+    bool held = false;
+};
+
+/// Caller memory for a read's requested elements: request i's element
+/// covers bytes [i * element_bytes - skew, (i + 1) * element_bytes - skew)
+/// of `bytes`. Elements wholly inside land there in place (fetched by the
+/// device or decoded there); an element that straddles an edge of `bytes`
+/// is staged, and the caller copies its overlap. Empty: stage everything.
+/// A failed or timed-out op may have scribbled on an element's place;
+/// that is safe because its slot is not held and recovery overwrites it.
+struct ReadDest {
+    ByteSpan bytes;
+    std::int64_t skew = 0;
+};
+
 /// Request-trace context threaded down the execution pipeline: the
 /// per-request span tree (null = untraced, every use is a branch) and
 /// the span id to parent recovery detail under. Passed by value — it is
@@ -106,22 +129,6 @@ struct TraceCtx {
 
 class PlanExecutor {
   public:
-    /// Identity of one stored element in candidate-code coordinates.
-    using Key = std::tuple<StripeId, int, int>;
-    /// Elements held by a request (fetched, hedged or decoded). ElementBuf
-    /// is either pool/heap-owned staging or an external view of caller
-    /// memory (the zero-copy path).
-    using ElementMap = std::map<Key, ElementBuf>;
-    /// Zero-copy destination oracle: given an element key, return the
-    /// caller buffer it should land in, or an empty span to use executor
-    /// staging. Healthy-path data elements resolve to the user's output
-    /// buffer, so fetch and decode write them in place and assembly skips
-    /// its copy. Hedged rounds ignore the sink (a straggling queue task
-    /// must own buffers that can outlive the requesting frame); a
-    /// timed-out or failed op may have scribbled on its sink span, which
-    /// is safe because the element is not marked fetched and recovery
-    /// overwrites the span.
-    using Sink = std::function<ByteSpan(const Key&)>;
     /// Produces the plan for the current exclusion set. Called once up
     /// front and once per replan round; planning failures abort the fetch.
     using Replanner = std::function<Result<core::AccessPlan>(const std::vector<DiskId>&)>;
@@ -156,14 +163,19 @@ class PlanExecutor {
     /// registered-buffer fixed reads.
     void set_buffer_pool(BufferPool* pool) { buffer_pool_ = pool; }
 
+    /// Publish new recovery options as an immutable snapshot; requests
+    /// already in flight keep the snapshot they loaded (retired snapshots
+    /// live until the executor is destroyed).
     void set_recovery(const RecoveryOptions& options) {
-        std::lock_guard<std::mutex> lock(opts_mu_);
-        recovery_ = options;
+        auto snapshot = std::make_unique<const RecoveryOptions>(options);
+        const RecoveryOptions* fresh = snapshot.get();
+        {
+            std::lock_guard<std::mutex> lock(metrics_mu_);
+            retired_recovery_.push_back(std::move(snapshot));
+        }
+        recovery_.store(fresh, std::memory_order_release);
     }
-    RecoveryOptions recovery() const {
-        std::lock_guard<std::mutex> lock(opts_mu_);
-        return recovery_;
-    }
+    RecoveryOptions recovery() const { return options(); }
 
     /// Swap the observability sinks; race-free against in-flight requests
     /// (atomic bundle publication, retired bundles live until the executor
@@ -185,15 +197,13 @@ class PlanExecutor {
         drain_orphans();
     }
 
-    static Key key_of(const layout::GroupCoord& c) { return {c.stripe, c.group, c.position}; }
-
     /// Everything a completed fetch pipeline hands back: the plan that
-    /// finally completed (after any replans), every element it fetched or
-    /// hedge-decoded, and the exclusion set as grown by mid-flight
-    /// discoveries.
+    /// finally completed (after any replans), its slot table (every fetch
+    /// slot held; decode slots held when decoded eagerly), and the
+    /// exclusion set as grown by mid-flight discoveries.
     struct FetchResult {
         core::AccessPlan plan;
-        ElementMap elements;
+        std::vector<Slot> slots;
         std::vector<DiskId> excluded;
     };
 
@@ -208,22 +218,24 @@ class PlanExecutor {
     /// per-disk batches, retries, backoff waits, timeouts and hedge
     /// decodes as children of the round's fetch span. Safe across pool
     /// and hedge threads.
-    /// `sink`, when given, routes elements straight into caller memory
-    /// (see Sink). On devices whose async_reads() is true and with no
-    /// thread pool attached, the serial path submits every disk's batch
-    /// before awaiting any (cross-disk overlap from one thread) and runs
-    /// decode recipes eagerly as their sources land.
+    /// Requested elements land in `dest` (see ReadDest), except in hedged
+    /// rounds, whose queue tasks own their buffers so a straggling queue
+    /// can outlive the requesting frame. A replan carries every held slot
+    /// over to the new plan's slot with the same coordinates. On devices
+    /// whose async_reads() is true and with no thread pool attached, the
+    /// serial path submits every disk's batch before awaiting any
+    /// (cross-disk overlap from one thread) and runs decode recipes
+    /// eagerly as their sources land.
     Result<FetchResult> fetch(const Replanner& replan, std::vector<DiskId> excluded,
-                              obs::RequestTrace* rt = nullptr, const Sink& sink = {}) const;
+                              obs::RequestTrace* rt = nullptr, ReadDest dest = {}) const;
 
-    /// Run the plan's decode recipes, materialising each missing element
-    /// into `elements` from sources already present there. `tc` hangs a
-    /// `decode.element` span per recipe under the caller's span.
-    /// Recipes whose target is already present (e.g. decoded eagerly
-    /// during fetch) are skipped; `sink` routes freshly decoded targets
-    /// into caller memory.
-    Status decode(const core::AccessPlan& plan, ElementMap& elements, TraceCtx tc = {},
-                  const Sink& sink = {}) const;
+    /// Run the plan's decode recipes, materialising each target slot from
+    /// source slots already held. `tc` hangs a `decode.element` span per
+    /// recipe under the caller's span. Recipes whose target is already
+    /// held (e.g. decoded eagerly during fetch) are skipped; requested
+    /// targets are decoded straight into `dest`.
+    Status decode(const core::AccessPlan& plan, std::vector<Slot>& slots, TraceCtx tc = {},
+                  ReadDest dest = {}) const;
 
     /// Rebuild one element into `target` from group sources living on
     /// disks not marked in `avoid` (indexed by DiskId), using policy
@@ -270,6 +282,7 @@ class PlanExecutor {
     Status device_write(DiskId disk, RowId row, ConstByteSpan data) const;
 
   private:
+    const RecoveryOptions& options() const { return *recovery_.load(std::memory_order_acquire); }
     const ExecutorMetrics& metrics() const { return *metrics_.load(std::memory_order_acquire); }
     obs::Tracer* tracer() const { return tracer_.load(std::memory_order_acquire); }
     obs::DiskHeatModel* heat() const { return heat_.load(std::memory_order_acquire); }
@@ -296,17 +309,19 @@ class PlanExecutor {
                      ByteSpan target) const;
 
     /// Decode engine behind decode(): with `partial`, recipes whose
-    /// sources are not all present are skipped instead of failing (the
-    /// eager pass as per-disk completions arrive).
-    Status try_decode(const core::AccessPlan& plan, ElementMap& elements, bool partial,
-                      TraceCtx tc, const Sink& sink) const;
+    /// sources are not all held are skipped instead of failing (the eager
+    /// pass as per-disk completions arrive).
+    Status try_decode(const core::AccessPlan& plan, std::vector<Slot>& slots, bool partial,
+                      TraceCtx tc, ReadDest dest) const;
 
-    /// Staging or zero-copy storage for `key` per the sink contract.
-    ElementBuf make_element(const Key& key, const Sink& sink) const {
-        if (sink) {
-            const ByteSpan dest = sink(key);
-            if (dest.size() == static_cast<std::size_t>(element_bytes_)) {
-                return ElementBuf::external(dest);
+    /// Storage for the element at request index `request`: its place in
+    /// `dest` when it lies wholly inside, else staging.
+    ElementBuf make_element(std::int64_t request, ReadDest dest) const {
+        if (request >= 0) {
+            const std::int64_t at = request * element_bytes_ - dest.skew;
+            if (at >= 0 && at + element_bytes_ <= static_cast<std::int64_t>(dest.bytes.size())) {
+                return ElementBuf::external(dest.bytes.subspan(
+                    static_cast<std::size_t>(at), static_cast<std::size_t>(element_bytes_)));
             }
         }
         return ElementBuf::alloc(static_cast<std::size_t>(element_bytes_), buffer_pool_);
@@ -316,19 +331,22 @@ class PlanExecutor {
     /// by every queue task, so the requesting frame can return at the
     /// hedge deadline without joining a straggling queue: the orphaned
     /// task finishes on the pool against this state, and its late result
-    /// dies with the last shared reference.
+    /// dies with the last shared reference. Flat like the round it
+    /// copies: queue a owns [begin, end) of rows, bufs and outs.
     struct HedgeState {
         struct Queue {
             DiskId disk = -1;
-            std::vector<RowId> rows;
-            std::vector<Key> keys;            // keys[j] identifies rows[j]
-            std::vector<ElementBuf> bufs;     // bufs[j] receives rows[j]
+            std::size_t begin = 0;
+            std::size_t end = 0;
             Status status = Status::success();
             std::size_t done_ops = 0;
             double issue_us = 0.0;  // forensic clock, for frame-side spans
             double dur_us = 0.0;
         };
-        RecoveryOptions opts;
+        const RecoveryOptions* opts = nullptr;  // a retired-safe snapshot
+        std::vector<RowId> rows;
+        std::vector<ElementBuf> bufs;     // bufs[j] receives rows[j]
+        std::vector<ByteSpan> outs;       // bufs' spans, for the device
         std::mutex mu;
         std::condition_variable cv;
         std::size_t done = 0;             // guarded by mu
@@ -361,12 +379,16 @@ class PlanExecutor {
     std::vector<store::BlockDevice*> devices_;
     BufferPool* buffer_pool_ = nullptr;
 
-    mutable std::mutex opts_mu_;  // guards recovery_
-    RecoveryOptions recovery_;
+    static const RecoveryOptions* default_recovery() {
+        static const RecoveryOptions defaults;
+        return &defaults;
+    }
 
+    std::atomic<const RecoveryOptions*> recovery_{default_recovery()};
     std::atomic<const ExecutorMetrics*> metrics_{empty_metrics()};
-    std::mutex metrics_mu_;  // guards retired_
+    std::mutex metrics_mu_;  // guards retired_ and retired_recovery_
     std::vector<std::unique_ptr<const ExecutorMetrics>> retired_;
+    std::vector<std::unique_ptr<const RecoveryOptions>> retired_recovery_;
     std::atomic<obs::Tracer*> tracer_{nullptr};
     std::atomic<obs::DiskHeatModel*> heat_{nullptr};
 

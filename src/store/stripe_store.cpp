@@ -483,7 +483,8 @@ Status StripeStore::overwrite(std::int64_t offset, ConstByteSpan data) {
     auto lk = exclusive_lock();
     const auto length = static_cast<std::int64_t>(data.size());
     if (offset < 0) return Error::range("negative offset");
-    if (offset + length > committed_bytes_locked()) {
+    const std::int64_t committed = committed_bytes_locked();
+    if (offset > committed || length > committed - offset) {
         return Error::range("overwrite must stay within committed bytes");
     }
     if (length == 0) return Status::success();
@@ -582,28 +583,29 @@ Status StripeStore::overwrite(std::int64_t offset, ConstByteSpan data) {
         // fixed replanner refuses recovery rounds — a disk dying
         // mid-overwrite aborts the RMW rather than folding into a moved
         // parity set.
+        // Fetch slot i holds touches[i]; the parities follow in
+        // group_parities order, which the fold and write walks repeat.
         AccessPlan rplan(scheme_.disks());
-        for (const Touch& t : touches) rplan.add_fetch({t.loc, t.coord, true});
+        for (std::size_t i = 0; i < touches.size(); ++i) {
+            rplan.add_fetch({touches[i].loc, touches[i].coord, static_cast<std::int64_t>(i)});
+        }
         for (const auto& [sg, positions] : group_parities) {
             for (int p : positions) {
                 const GroupCoord coord{sg.first, sg.second, p};
-                rplan.add_fetch({scheme_.layout().locate(coord), coord, false});
+                rplan.add_fetch({scheme_.layout().locate(coord), coord, -1});
             }
         }
         rplan.set_requested(static_cast<std::int64_t>(touches.size()));
+        rplan.build_schedule();
         auto replanner = [&](const std::vector<DiskId>& excl) -> Result<AccessPlan> {
             if (!excl.empty()) {
                 return Error::disk_failed("disk failed mid-overwrite; read-modify-write aborted");
             }
             return rplan;
         };
-        auto fetched = executor_.fetch(replanner, {}, rt.get(), {});
+        auto fetched = executor_.fetch(replanner, {}, rt.get());
         if (!fetched.ok()) return fetched.error();
-        exec::PlanExecutor::ElementMap& elements = fetched.value().elements;
-        auto element_of = [&](const GroupCoord& coord) -> ElementBuf* {
-            auto it = elements.find(exec::PlanExecutor::key_of(coord));
-            return it == elements.end() ? nullptr : &it->second;
-        };
+        std::vector<exec::Slot>& slots = fetched.value().slots;
 
         // FOLD: new_data = old patched with the dirty bytes; per group,
         // delta_j = old_j ^ new_j and parity_p ^= sum_j coeff_pj * delta_j
@@ -612,16 +614,16 @@ Status StripeStore::overwrite(std::int64_t offset, ConstByteSpan data) {
         const std::uint32_t fold_node = rt != nullptr ? rt->begin_phase("fold") : 0;
         std::vector<AlignedBuffer> new_data;
         new_data.reserve(touches.size());
-        for (const Touch& t : touches) {
-            ElementBuf* old_elem = element_of(t.coord);
-            if (old_elem == nullptr) return Error::internal("overwrite fetch missing data element");
+        for (std::size_t i = 0; i < touches.size(); ++i) {
+            const Touch& t = touches[i];
             AlignedBuffer nd(static_cast<std::size_t>(element_bytes_));
-            std::memcpy(nd.data(), old_elem->data(), static_cast<std::size_t>(element_bytes_));
+            std::memcpy(nd.data(), slots[i].buf.data(), static_cast<std::size_t>(element_bytes_));
             std::memcpy(nd.data() + t.in_elem, data.data() + t.src,
                         static_cast<std::size_t>(t.chunk));
             new_data.push_back(std::move(nd));
         }
         std::int64_t parity_folds = 0;
+        std::size_t parity_slot = touches.size();
         for (const auto& [sg, positions] : group_parities) {
             std::vector<std::size_t> tidx;
             for (std::size_t i = 0; i < touches.size(); ++i) {
@@ -634,9 +636,8 @@ Status StripeStore::overwrite(std::int64_t offset, ConstByteSpan data) {
             deltas.reserve(tidx.size());
             delta_spans.reserve(tidx.size());
             for (std::size_t i : tidx) {
-                ElementBuf* old_elem = element_of(touches[i].coord);
                 AlignedBuffer d(static_cast<std::size_t>(element_bytes_));
-                std::memcpy(d.data(), old_elem->data(), static_cast<std::size_t>(element_bytes_));
+                std::memcpy(d.data(), slots[i].buf.data(), static_cast<std::size_t>(element_bytes_));
                 gf::xor_region(d.span(), new_data[i].span());
                 deltas.push_back(std::move(d));
             }
@@ -654,12 +655,8 @@ Status StripeStore::overwrite(std::int64_t offset, ConstByteSpan data) {
             }
             for (AlignedBuffer& s : scratch) scratch_spans.push_back(s.span());
             gf::encode_regions(delta_spans, scratch_spans, coeffs.data(), pool_);
-            std::size_t pi = 0;
-            for (int p : positions) {
-                ElementBuf* parity = element_of({sg.first, sg.second, p});
-                if (parity == nullptr) return Error::internal("overwrite fetch missing parity element");
-                gf::xor_region(parity->span(), scratch[pi].span());
-                ++pi;
+            for (std::size_t pi = 0; pi < positions.size(); ++pi) {
+                gf::xor_region(slots[parity_slot++].buf.span(), scratch[pi].span());
                 ++parity_folds;
             }
         }
@@ -678,12 +675,12 @@ Status StripeStore::overwrite(std::int64_t offset, ConstByteSpan data) {
             wplan.add_write({touches[i].loc, touches[i].coord, payloads.size(), false});
             payloads.push_back(new_data[i].span());
         }
+        parity_slot = touches.size();
         for (const auto& [sg, positions] : group_parities) {
             for (int p : positions) {
                 const GroupCoord coord{sg.first, sg.second, p};
-                ElementBuf* parity = element_of(coord);
                 wplan.add_write({scheme_.layout().locate(coord), coord, payloads.size(), true});
-                payloads.push_back(parity->span());
+                payloads.push_back(slots[parity_slot++].buf.span());
             }
         }
         if (o.write_max_load != nullptr) o.write_max_load->record(wplan.max_load());
@@ -713,8 +710,11 @@ Status StripeStore::overwrite(std::int64_t offset, ConstByteSpan data) {
 Result<std::vector<std::uint8_t>> StripeStore::read_bytes(std::int64_t offset, std::int64_t length) {
     auto lk = reader_lock();
     if (offset < 0 || length < 0) return Error::range("negative read range");
-    if (offset + length > committed_bytes_locked()) {
-        if (offset + length <= logical_bytes_) {
+    // Compare against differences, never sums: offset + length can
+    // overflow.
+    const std::int64_t committed = committed_bytes_locked();
+    if (offset > committed || length > committed - offset) {
+        if (offset <= logical_bytes_ && length <= logical_bytes_ - offset) {
             return Error::invalid("range still buffered; call flush() before reading");
         }
         return Error::range("read beyond logical size");
@@ -723,6 +723,8 @@ Result<std::vector<std::uint8_t>> StripeStore::read_bytes(std::int64_t offset, s
     if (length == 0) return out;
 
     // Walk the committed extents overlapping [offset, offset + length).
+    // Each piece reads straight into `out`: whole elements land in place,
+    // and only a partial head or tail element is staged.
     std::int64_t produced = 0;
     for (const Extent& e : extents_) {
         const std::int64_t e_end = e.logical_start + e.bytes;
@@ -733,14 +735,11 @@ Result<std::vector<std::uint8_t>> StripeStore::read_bytes(std::int64_t offset, s
         const std::int64_t hi = std::min(offset + length, e_end) - e.logical_start;
         const ElementId first = e.element_start + lo / element_bytes_;
         const ElementId last = e.element_start + (hi - 1) / element_bytes_;
-        const std::int64_t count = last - first + 1;
-
-        std::vector<std::uint8_t> elems(static_cast<std::size_t>(count * element_bytes_));
-        auto status = read_elements_locked(first, count, ByteSpan(elems.data(), elems.size()));
+        const std::int64_t skew = lo - (first - e.element_start) * element_bytes_;
+        auto status = read_elements_locked(
+            first, last - first + 1,
+            {ByteSpan(out.data() + produced, static_cast<std::size_t>(hi - lo)), skew});
         if (!status.ok()) return status.error();
-
-        const std::int64_t skip = lo - (first - e.element_start) * element_bytes_;
-        std::memcpy(out.data() + produced, elems.data() + skip, static_cast<std::size_t>(hi - lo));
         produced += hi - lo;
     }
     if (produced != length) return Error::internal("extent walk produced wrong byte count");
@@ -749,16 +748,21 @@ Result<std::vector<std::uint8_t>> StripeStore::read_bytes(std::int64_t offset, s
 
 Status StripeStore::read_elements(ElementId start, std::int64_t count, ByteSpan out) {
     auto lk = reader_lock();
-    return read_elements_locked(start, count, out);
-}
-
-Status StripeStore::read_elements_locked(ElementId start, std::int64_t count, ByteSpan out) {
-    if (start < 0 || count < 0 || start + count > stored_data_elements_locked()) {
-        return Error::range("element range beyond stored data");
-    }
+    if (!element_range_ok_locked(start, count)) return Error::range("element range beyond stored data");
     if (static_cast<std::int64_t>(out.size()) != count * element_bytes_) {
         return Error::invalid("output buffer size mismatch");
     }
+    return read_elements_locked(start, count, {out, 0});
+}
+
+bool StripeStore::element_range_ok_locked(ElementId start, std::int64_t count) const {
+    // Compare against differences, never sums: start + count can overflow.
+    const std::int64_t stored = stored_data_elements_locked();
+    return start >= 0 && count >= 0 && start <= stored && count <= stored - start;
+}
+
+Status StripeStore::read_elements_locked(ElementId start, std::int64_t count, exec::ReadDest dest) {
+    if (!element_range_ok_locked(start, count)) return Error::range("element range beyond stored data");
     if (count == 0) return Status::success();
 
     const StoreObs& o = store_obs();
@@ -768,10 +772,10 @@ Status StripeStore::read_elements_locked(ElementId start, std::int64_t count, By
     if (o.reads_total != nullptr) o.reads_total->add(1);
     if (o.read_elements_total != nullptr) o.read_elements_total->add(count);
 
-    return execute_read(start, count, out, unavailable_disks_locked());
+    return execute_read(start, count, dest, unavailable_disks_locked());
 }
 
-Status StripeStore::execute_read(ElementId start, std::int64_t count, ByteSpan out,
+Status StripeStore::execute_read(ElementId start, std::int64_t count, exec::ReadDest dest,
                                  std::vector<DiskId> excluded) {
     const StoreObs& o = store_obs();
 
@@ -789,7 +793,7 @@ Status StripeStore::execute_read(ElementId start, std::int64_t count, ByteSpan o
                      static_cast<std::int64_t>(excluded.size()));
         }
     }
-    auto status = execute_read_traced(start, count, out, std::move(excluded), rt.get());
+    auto status = execute_read_traced(start, count, dest, std::move(excluded), rt.get());
     if (rt != nullptr) {
         if (!status.ok()) rt->attr(obs::RequestTrace::kRoot, "error", status.error().message);
         if (status.ok()) {
@@ -803,7 +807,7 @@ Status StripeStore::execute_read(ElementId start, std::int64_t count, ByteSpan o
     return status;
 }
 
-Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, ByteSpan out,
+Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, exec::ReadDest dest,
                                         std::vector<DiskId> excluded, obs::RequestTrace* rt) {
     const StoreObs& o = store_obs();
 
@@ -878,23 +882,11 @@ Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, Byt
         return planned;
     };
 
-    // Zero-copy sink: a requested data element lands directly in the
-    // caller's output slice — fetched there by the device, or decoded
-    // there — so the healthy path's assemble stage has nothing to copy.
-    // Repair sources, parities and hedge-owned buffers stay in executor
-    // staging (the sink returns an empty span for them).
-    std::map<exec::PlanExecutor::Key, std::int64_t> dest;
-    for (std::int64_t i = 0; i < count; ++i) {
-        dest.emplace(exec::PlanExecutor::key_of(scheme_.layout().coord_of_data(start + i)), i);
-    }
-    auto sink = [&](const exec::PlanExecutor::Key& key) -> ByteSpan {
-        auto it = dest.find(key);
-        if (it == dest.end()) return {};
-        return out.subspan(static_cast<std::size_t>(it->second * element_bytes_),
-                           static_cast<std::size_t>(element_bytes_));
-    };
-
-    auto fetched = executor_.fetch(replanner, std::move(excluded), rt, sink);
+    // Requested elements land directly in the caller's memory, fetched
+    // there by the device or decoded there, so the healthy path's
+    // assemble stage has nothing to copy. Repair sources, parities and
+    // hedge-owned buffers stay in executor staging.
+    auto fetched = executor_.fetch(replanner, std::move(excluded), rt, dest);
     if (!fetched.ok()) return fetched.error();
     exec::PlanExecutor::FetchResult& result = fetched.value();
 
@@ -912,7 +904,7 @@ Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, Byt
         obs::Span decode_span(o.tracer, "store.decode", "store");
         decode_span.arg("decodes", static_cast<std::int64_t>(result.plan.decodes().size()));
         const std::uint32_t decode_node = rt != nullptr ? rt->begin_phase("decode") : 0;
-        auto status = executor_.decode(result.plan, result.elements, {rt, decode_node}, sink);
+        auto status = executor_.decode(result.plan, result.slots, {rt, decode_node}, dest);
         if (rt != nullptr) {
             rt->end_with(decode_node,
                          {{"decodes", static_cast<std::int64_t>(result.plan.decodes().size())}});
@@ -920,24 +912,44 @@ Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, Byt
         if (!status.ok()) return status;
     }
 
-    // Assemble the user range in logical order. Elements routed through
-    // the sink already sit in place; only staged elements (hedged reads,
-    // elements a recovery round landed in executor buffers) still copy.
+    // Assemble: every requested slot, by request index. Elements that
+    // landed in place are done; a staged element (hedged reads, elements
+    // a recovery round landed in executor buffers, a partial head or
+    // tail of a byte range) copies its overlap with the caller's bytes.
+    // Only whole elements that could have landed in place count as
+    // staging copies.
     obs::Span assemble_span(o.tracer, "store.assemble", "store");
     const std::uint32_t assemble_node = rt != nullptr ? rt->begin_phase("assemble") : 0;
+    const auto& plan = result.plan;
+    const auto size = static_cast<std::int64_t>(dest.bytes.size());
     std::int64_t copies = 0;
-    for (std::int64_t i = 0; i < count; ++i) {
-        const GroupCoord coord = scheme_.layout().coord_of_data(start + i);
-        auto it = result.elements.find(exec::PlanExecutor::key_of(coord));
-        if (it == result.elements.end()) {
-            if (rt != nullptr) rt->end(assemble_node);
-            return Error::internal("requested element missing after decode");
+    std::int64_t placed = 0;
+    bool missing = false;
+    auto place = [&](const exec::Slot& slot, std::int64_t request) {
+        if (request < 0) return;
+        if (!slot.held) {
+            missing = true;
+            return;
         }
-        std::uint8_t* const dst = out.data() + static_cast<std::size_t>(i * element_bytes_);
-        if (it->second.data() != dst) {
-            std::memcpy(dst, it->second.data(), static_cast<std::size_t>(element_bytes_));
-            ++copies;
-        }
+        ++placed;
+        const std::int64_t at = request * element_bytes_ - dest.skew;
+        const std::int64_t from = std::max<std::int64_t>(at, 0);
+        const std::int64_t to = std::min(at + element_bytes_, size);
+        std::uint8_t* const dst = dest.bytes.data() + from;
+        const std::uint8_t* const src = slot.buf.data() + (from - at);
+        if (src == dst) return;
+        std::memcpy(dst, src, static_cast<std::size_t>(to - from));
+        if (to - from == element_bytes_) ++copies;
+    };
+    for (std::size_t i = 0; i < plan.fetches().size(); ++i) {
+        place(result.slots[i], plan.fetches()[i].request);
+    }
+    for (std::size_t d = 0; d < plan.decodes().size(); ++d) {
+        place(result.slots[plan.fetches().size() + d], plan.decodes()[d].request);
+    }
+    if (missing || placed != count) {
+        if (rt != nullptr) rt->end(assemble_node);
+        return Error::internal("requested element missing after decode");
     }
     if (copies > 0) assemble_copies_.fetch_add(copies, std::memory_order_relaxed);
     if (rt != nullptr) {

@@ -284,10 +284,13 @@ class StripeStore {
     /// stripe parity-pending.
     Result<StripeId> commit_stripe(ConstByteSpan stripe_data, std::int64_t user_bytes,
                                    bool with_parity);
-    Status read_elements_locked(ElementId start, std::int64_t count, ByteSpan out);
-    Status execute_read(ElementId start, std::int64_t count, ByteSpan out,
+    bool element_range_ok_locked(ElementId start, std::int64_t count) const;
+    /// Read elements [start, start + count) into `dest` (see
+    /// exec::ReadDest): in place where whole, staged at partial edges.
+    Status read_elements_locked(ElementId start, std::int64_t count, exec::ReadDest dest);
+    Status execute_read(ElementId start, std::int64_t count, exec::ReadDest dest,
                         std::vector<DiskId> excluded);
-    Status execute_read_traced(ElementId start, std::int64_t count, ByteSpan out,
+    Status execute_read_traced(ElementId start, std::int64_t count, exec::ReadDest dest,
                                std::vector<DiskId> excluded, obs::RequestTrace* rt);
     Result<ScrubReport> scrub_locked(obs::RequestTrace* rt, std::uint32_t scan_node);
     std::vector<DiskId> failed_disks_locked() const;

@@ -665,5 +665,61 @@ TEST(StoreConcurrent, AttachObservabilityWhileReadsInFlight) {
     EXPECT_GT(metrics.counter("ecfrm_store_reads_total").value(), 0);
 }
 
+/// Recovery options are an immutable snapshot swapped atomically (run
+/// under TSAN in CI): 8 readers keep reading — through the serial, pooled
+/// and hedged fetch modes — while the options flip underneath them.
+TEST(StoreConcurrent, SetRecoveryWhileReadsInFlight) {
+    const std::int64_t elem = 64;
+    ThreadPool pool(4);
+    store::StripeStore st(make_scheme("rs:6,3", LayoutKind::ecfrm), elem, &pool);
+
+    std::vector<std::uint8_t> reference(elem * 300 + 17);
+    Rng fill_rng(31);
+    for (auto& b : reference) b = static_cast<std::uint8_t>(fill_rng.next_below(256));
+    ASSERT_TRUE(st.append(ConstByteSpan(reference.data(), reference.size())).ok());
+    ASSERT_TRUE(st.flush().ok());
+    ASSERT_TRUE(st.fail_disk(2).ok());  // degraded reads decode too
+    const auto committed = static_cast<std::int64_t>(reference.size());
+
+    std::atomic<bool> stop{false};
+    std::atomic<int> reads{0};
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 8; ++t) {
+        readers.emplace_back([&, t] {
+            Rng rng(5000 + static_cast<std::uint64_t>(t));
+            while (!stop.load(std::memory_order_relaxed) || reads.load() < 64) {
+                const std::int64_t offset = static_cast<std::int64_t>(
+                    rng.next_below(static_cast<std::uint64_t>(committed)));
+                const std::int64_t length = 1 + static_cast<std::int64_t>(rng.next_below(
+                    static_cast<std::uint64_t>(std::min<std::int64_t>(committed - offset, 2048))));
+                auto out = st.read_bytes(offset, length);
+                if (!out.ok() || std::memcmp(out->data(), reference.data() + offset,
+                                             static_cast<std::size_t>(length)) != 0) {
+                    mismatches.fetch_add(1);
+                }
+                reads.fetch_add(1);
+            }
+        });
+    }
+    store::RecoveryOptions last;
+    for (int i = 0; i < 200; ++i) {
+        store::RecoveryOptions opts;
+        opts.batch_elements = 1 + i % 3;
+        opts.max_retries = i % 4;
+        opts.hedge_ms = i % 2 == 0 ? 0.0 : 50.0;  // hedged rounds on the pool
+        st.set_recovery(opts);
+        last = opts;
+        if (i % 20 == 0) std::this_thread::yield();
+    }
+    stop.store(true);
+    for (auto& t : readers) t.join();
+    EXPECT_EQ(mismatches.load(), 0);
+    EXPECT_GE(reads.load(), 64);
+    EXPECT_EQ(st.recovery().batch_elements, last.batch_elements);
+    EXPECT_EQ(st.recovery().max_retries, last.max_retries);
+    EXPECT_EQ(st.recovery().hedge_ms, last.hedge_ms);
+}
+
 }  // namespace
 }  // namespace ecfrm::exec

@@ -24,7 +24,7 @@ TEST(NormalRead, FetchesExactlyTheRequestedElements) {
     EXPECT_EQ(plan.total_fetched(), 8);
     EXPECT_EQ(plan.requested(), 8);
     EXPECT_TRUE(plan.decodes().empty());
-    for (const auto& f : plan.fetches()) EXPECT_TRUE(f.requested);
+    for (const auto& f : plan.fetches()) EXPECT_TRUE(f.requested());
     EXPECT_DOUBLE_EQ(plan.cost(), 1.0);
 }
 
@@ -200,7 +200,7 @@ TEST(DegradedRead, MultiFailurePlansAvoidAllFailedDisks) {
     // All 18 requested elements served (directly or by decode).
     std::set<std::tuple<StripeId, int, int>> served;
     for (const auto& f : plan->fetches()) {
-        if (f.requested) served.insert({f.coord.stripe, f.coord.group, f.coord.position});
+        if (f.requested()) served.insert({f.coord.stripe, f.coord.group, f.coord.position});
     }
     for (const auto& d : plan->decodes()) served.insert({d.stripe, d.group, d.repair.target_position});
     EXPECT_EQ(served.size(), 18u);

@@ -5,6 +5,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -212,6 +214,88 @@ TEST(Store, ErrorPaths) {
     auto empty = store.read_bytes(5, 0);
     ASSERT_TRUE(empty.ok());
     EXPECT_TRUE(empty->empty());
+
+    // Ranges whose end would overflow int64 are out of range, not wrapped
+    // around into an allocation or an accepted read.
+    const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+    auto huge = store.read_bytes(1, max);
+    ASSERT_FALSE(huge.ok());
+    EXPECT_EQ(huge.error().code, Error::Code::out_of_range);
+    auto far = store.read_bytes(max, 1);
+    ASSERT_FALSE(far.ok());
+    EXPECT_EQ(far.error().code, Error::Code::out_of_range);
+    std::vector<std::uint8_t> one(64);
+    auto elements = store.read_elements(1, max, ByteSpan(one.data(), one.size()));
+    ASSERT_FALSE(elements.ok());
+    EXPECT_EQ(elements.error().code, Error::Code::out_of_range);
+    auto overwrite = store.overwrite(max, ConstByteSpan(one.data(), one.size()));
+    ASSERT_FALSE(overwrite.ok());
+    EXPECT_EQ(overwrite.error().code, Error::Code::out_of_range);
+}
+
+TEST(Store, ReadBytesEdgesMatchReference) {
+    // read_bytes reads whole elements straight into the returned buffer
+    // and stages only a partial head or tail element. Sweep head offsets
+    // {0, 1, eb-1} into an element and tail offsets {0, 1, eb-1} before
+    // an element's end, for ranges inside one element and ranges that
+    // cross element, stripe and extent boundaries. A flush followed by an
+    // append leaves a padded first extent, so the second extent's
+    // elements start mid-way through the logical stream.
+    constexpr std::int64_t eb = 64;
+    for (const char* spec : {"rs:6,3", "lrc:6,2,2"}) {
+        StripeStore store(make_scheme(spec, LayoutKind::ecfrm), eb);
+        const std::int64_t stripe = store.stripe_data_bytes() / eb;  // elements per stripe
+        const auto first = random_bytes(static_cast<std::size_t>(eb * (stripe + 5) + 13), 41);
+        const auto second = random_bytes(static_cast<std::size_t>(eb * 2 * stripe + 29), 42);
+        ASSERT_TRUE(store.append(ConstByteSpan(first.data(), first.size())).ok());
+        ASSERT_TRUE(store.flush().ok());
+        ASSERT_TRUE(store.append(ConstByteSpan(second.data(), second.size())).ok());
+        ASSERT_TRUE(store.flush().ok());
+        ASSERT_EQ(store.extents().size(), 2u);
+        std::vector<std::uint8_t> expect = first;
+        expect.insert(expect.end(), second.begin(), second.end());
+        const auto total = static_cast<std::int64_t>(expect.size());
+        const std::int64_t second_start = store.extents()[1].logical_start;
+
+        // Element starts to anchor ranges at: the first element, the last
+        // element of a stripe, the first extent's last (partial) element,
+        // and the second extent's first and stripe-ending elements.
+        const std::int64_t last_of_first = static_cast<std::int64_t>(first.size()) / eb * eb;
+        const std::vector<std::int64_t> anchors{
+            0, eb, (stripe - 1) * eb, last_of_first, second_start, second_start + (stripe - 1) * eb};
+
+        for (bool degraded : {false, true}) {
+            if (degraded) {
+                ASSERT_TRUE(store.fail_disk(1).ok());
+            }
+            int checked = 0;
+            for (std::int64_t anchor : anchors) {
+                for (std::int64_t head : {std::int64_t{0}, std::int64_t{1}, eb - 1}) {
+                    for (std::int64_t tail : {std::int64_t{0}, std::int64_t{1}, eb - 1}) {
+                        for (std::int64_t span : {std::int64_t{0}, std::int64_t{1}, std::int64_t{2}, stripe, 2 * stripe}) {
+                            const std::int64_t offset = anchor + head;
+                            const std::int64_t end =
+                                std::min(anchor + (span + 1) * eb - tail, total);
+                            if (offset >= end) continue;
+                            SCOPED_TRACE(std::string(spec) + (degraded ? " degraded" : " healthy") +
+                                         " offset " + std::to_string(offset) + " length " +
+                                         std::to_string(end - offset));
+                            auto got = store.read_bytes(offset, end - offset);
+                            ASSERT_TRUE(got.ok()) << got.error().message;
+                            ASSERT_EQ(static_cast<std::int64_t>(got->size()), end - offset);
+                            ASSERT_TRUE(std::equal(got->begin(), got->end(),
+                                                   expect.begin() + offset));
+                            ++checked;
+                        }
+                    }
+                }
+            }
+            EXPECT_GT(checked, 200);
+        }
+        // Whole-element reads of the healthy ranges above land in place;
+        // the degraded decodes target the caller buffer too.
+        EXPECT_EQ(store.assemble_staging_copies(), 0);
+    }
 }
 
 TEST(Store, OverwriteUpdatesDataAndParityDeltas) {
