@@ -1,6 +1,8 @@
 #include "store/disk.h"
 
 #include <cstring>
+#include <mutex>
+#include <shared_mutex>
 
 namespace ecfrm::store {
 
@@ -34,7 +36,7 @@ Status Disk::read(RowId row, ByteSpan out) const {
     }
     IoTimer timer(io_stats(), /*is_read=*/true, static_cast<std::int64_t>(out.size()));
     auto status = [&]() -> Status {
-        std::lock_guard lk(mu_);
+        std::shared_lock lk(mu_);
         if (failed_) return Error::disk_failed("read from failed disk");
         if (static_cast<std::size_t>(row) >= slots_.size() || !written_[static_cast<std::size_t>(row)]) {
             return Error::range("row never written");
@@ -59,7 +61,7 @@ Status Disk::read_batch(std::span<const RowId> rows, std::span<const ByteSpan> o
     BatchIoTimer timer(io_stats(), /*is_read=*/true, element_bytes_, rows.size());
     std::size_t done = 0;
     auto status = [&]() -> Status {
-        std::lock_guard lk(mu_);
+        std::shared_lock lk(mu_);
         if (failed_) return Error::disk_failed("read from failed disk");
         for (std::size_t i = 0; i < rows.size(); ++i) {
             const auto row = static_cast<std::size_t>(rows[i]);
@@ -134,12 +136,12 @@ void Disk::replace() {
 }
 
 bool Disk::failed() const {
-    std::lock_guard lk(mu_);
+    std::shared_lock lk(mu_);
     return failed_;
 }
 
 RowId Disk::rows() const {
-    std::lock_guard lk(mu_);
+    std::shared_lock lk(mu_);
     return static_cast<RowId>(slots_.size());
 }
 

@@ -1,9 +1,11 @@
 // One simulated in-memory storage device: a growable array of fixed-size
-// element slots plus a failure flag. Thread-safe; reads copy out under the
-// lock so callers never hold references into resizable storage.
+// element slots plus a failure flag. Thread-safe; reads copy out under a
+// shared lock so callers never hold references into resizable storage,
+// and concurrent readers never wait on each other.
 #pragma once
 
 #include <mutex>
+#include <shared_mutex>
 #include <vector>
 
 #include "common/aligned_buffer.h"
@@ -51,7 +53,7 @@ class Disk final : public BlockDevice {
     RowId rows() const override;
 
   private:
-    mutable std::mutex mu_;
+    mutable std::shared_mutex mu_;  // shared: reads; exclusive: anything that mutates
     std::int64_t element_bytes_;
     std::vector<AlignedBuffer> slots_;
     std::vector<bool> written_;
