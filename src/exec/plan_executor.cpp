@@ -109,20 +109,6 @@ Status PlanExecutor::device_read(DiskId disk, RowId row, ByteSpan out) const {
     return read_with_policy(disk, row, out, options());
 }
 
-Status PlanExecutor::device_write(DiskId disk, RowId row, ConstByteSpan data) const {
-    const RecoveryOptions& opts = options();
-    const ExecutorMetrics& m = metrics();
-    for (int attempt = 0;; ++attempt) {
-        Status status = devices_[static_cast<std::size_t>(disk)]->write(row, data);
-        if (status.ok()) return status;
-        if (status.error().code != Error::Code::io_error || attempt >= opts.max_retries) {
-            return status;
-        }
-        if (m.retries != nullptr) m.retries->add(1);
-        backoff(opts, attempt);
-    }
-}
-
 Status PlanExecutor::submit_queue(DiskId disk, std::span<const RowId> rows,
                                   std::span<const ByteSpan> outs, const RecoveryOptions& opts,
                                   std::size_t* done, TraceCtx tc) const {
@@ -303,59 +289,96 @@ Result<PlanExecutor::WriteReport> PlanExecutor::write(const core::WritePlan& pla
     return WriteReport{written.load(), skipped.load()};
 }
 
-bool PlanExecutor::side_decode(const GroupCoord& coord, const std::vector<char>& avoid,
-                               ByteSpan target) const {
-    const auto& code = scheme_->code();
-    std::vector<int> sources;
-    for (int p = 0; p < code.n(); ++p) {
-        if (p == coord.position) continue;
-        const Location sloc = scheme_->layout().locate({coord.stripe, coord.group, p});
-        if (!avoid[static_cast<std::size_t>(sloc.disk)]) sources.push_back(p);
+/// One per-disk queue of a fetch round: an AsyncBatch in flight, a pool
+/// task, or a queue the reaper runs inline. `state` matters to pool
+/// flights only. The pool task and an unhedged reaper race to claim a
+/// queued flight; a hedged reaper may abandon a running one. Changes the
+/// reaper waits on are made under the round's mutex.
+struct PlanExecutor::Flight {
+    enum State : int { queued, claimed, running, done, abandoned };
+    DiskId disk = -1;
+    std::size_t begin = 0;  // the queue is [begin, end) of the round's rows/outs
+    std::size_t end = 0;
+    bool pooled = false;
+    std::unique_ptr<store::BlockDevice::AsyncBatch> batch;
+    std::atomic<int> state{queued};
+    Status status = Status::success();
+    std::size_t landed = 0;  // elements that landed
+    double start_us = 0.0;  // forensic clock, when the round is timed
+    double dur_us = 0.0;
+
+    /// Take a queued pool flight for the calling thread; false when the
+    /// pool task or the reaper already has it.
+    bool claim() {
+        int expected = queued;
+        return state.compare_exchange_strong(expected, claimed);
     }
-    auto repair = code.solve_repair(coord.position, sources);
-    if (!repair.ok()) return false;
-    std::vector<AlignedBuffer> srcs;
-    std::vector<ByteSpan> buffers(static_cast<std::size_t>(code.n()));
-    srcs.reserve(repair->terms.size());
-    for (const auto& term : repair->terms) {
-        const Location sloc =
-            scheme_->layout().locate({coord.stripe, coord.group, term.source_position});
-        srcs.emplace_back(static_cast<std::size_t>(element_bytes_));
-        if (!devices_[static_cast<std::size_t>(sloc.disk)]->read(sloc.row, srcs.back().span()).ok()) {
-            return false;
-        }
-        buffers[static_cast<std::size_t>(term.source_position)] = srcs.back().span();
-    }
-    buffers[static_cast<std::size_t>(coord.position)] = target;
-    codes::DecodePlan one;
-    one.repairs.push_back(repair.value());
-    codes::ErasureCode::apply_plan(one, buffers);
-    return true;
+};
+
+/// One fetch round's flights and the memory they read into, co-owned by
+/// its pool tasks. A task that finds its flight claimed by the reaper
+/// touches nothing else, so unhedged rounds may point `rows`/`outs` at
+/// the requesting frame, which reaps every flight before it returns. A
+/// hedged round owns copies instead, so a straggler can outlive it.
+struct PlanExecutor::Round {
+    explicit Round(std::size_t queues) : flights(queues) {}
+    const RecoveryOptions* opts = nullptr;  // a retired-safe snapshot
+    obs::DiskHeatModel* heat = nullptr;     // kept alive for orphans by drain_orphans()
+    TraceCtx tc;         // retry spans; empty when hedged (the trace dies with the request)
+    bool timed = false;  // flights record start and duration
+    bool hedged = false;
+    std::span<const RowId> rows;
+    std::span<const ByteSpan> outs;
+    std::vector<Flight> flights;
+    std::vector<RowId> own_rows;   // hedged rounds: bufs[j] receives own_rows[j]
+    std::vector<ElementBuf> bufs;
+    std::vector<ByteSpan> own_outs;
+    std::mutex mu;
+    std::condition_variable cv;
+};
+
+void PlanExecutor::start_flight(const Round& round, Flight& flight) const {
+    if (round.timed) flight.start_us = obs::forensic_now_us();
+    if (round.heat != nullptr) round.heat->on_issue(flight.disk);
 }
 
-void PlanExecutor::run_hedged_queue(HedgeState& state, std::size_t a) const {
-    // Runs on the pool, possibly after the requesting frame returned: it
-    // may touch only `state` (co-owned), the devices, and the executor's
-    // attached sinks (kept alive by the orphan drain protocol). No
-    // RequestTrace — that dies with the request.
-    HedgeState::Queue& q = state.queues[a];
-    obs::DiskHeatModel* const heat = this->heat();
-    q.issue_us = obs::forensic_now_us();
-    const auto t0 = std::chrono::steady_clock::now();
-    if (heat != nullptr) heat->on_issue(q.disk);
-    const std::size_t n = q.end - q.begin;
-    q.status = submit_queue(q.disk, std::span<const RowId>(state.rows).subspan(q.begin, n),
-                            std::span<const ByteSpan>(state.outs).subspan(q.begin, n),
-                            *state.opts, &q.done_ops, TraceCtx{});
-    q.dur_us =
-        std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0).count();
-    if (heat != nullptr) {
-        const double now_s = obs::DiskHeatModel::now_seconds();
-        heat->on_complete(q.disk, static_cast<std::int64_t>(q.done_ops),
-                          static_cast<std::int64_t>(q.done_ops) * element_bytes_, q.dur_us, now_s);
-        if (!q.status.ok() && q.status.error().code != Error::Code::timeout) {
-            heat->on_error(q.disk, now_s);
-        }
+void PlanExecutor::run_queue(Round& round, Flight& flight) const {
+    const std::size_t n = flight.end - flight.begin;
+    flight.status = submit_queue(flight.disk, round.rows.subspan(flight.begin, n),
+                                 round.outs.subspan(flight.begin, n), *round.opts, &flight.landed,
+                                 round.tc);
+    if (round.timed) flight.dur_us = obs::forensic_now_us() - flight.start_us;
+}
+
+void PlanExecutor::run_pooled(Round& round, Flight& flight) const {
+    start_flight(round, flight);
+    {
+        std::lock_guard<std::mutex> lock(round.mu);
+        flight.state.store(Flight::running);
+    }
+    round.cv.notify_all();
+    run_queue(round, flight);
+    int was = Flight::running;
+    {
+        std::lock_guard<std::mutex> lock(round.mu);
+        was = flight.state.exchange(Flight::done);
+    }
+    round.cv.notify_all();
+    // An abandoned straggler is never reaped: it reports its true stall
+    // to the heat model itself. Hedged flights are orphan-counted, so the
+    // executor and its sinks are still alive here.
+    if (was == Flight::abandoned) feed_heat(round, flight);
+    if (round.hedged) orphan_finished();
+}
+
+void PlanExecutor::feed_heat(const Round& round, const Flight& flight) const {
+    obs::DiskHeatModel* const heat = round.heat;
+    if (heat == nullptr) return;
+    const double now_s = obs::DiskHeatModel::now_seconds();
+    const auto landed = static_cast<std::int64_t>(flight.landed);
+    heat->on_complete(flight.disk, landed, landed * element_bytes_, flight.dur_us, now_s);
+    if (!flight.status.ok() && flight.status.error().code != Error::Code::timeout) {
+        heat->on_error(flight.disk, now_s);
     }
 }
 
@@ -417,14 +440,14 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
     std::vector<RowId> rows_left;
     std::vector<core::DiskRun> queues_left;
     std::vector<ByteSpan> outs;
+    DecodeScratch scratch;  // eager decode passes
 
     // Issue everything the plan wants that we don't already hold, one
-    // submission queue per disk — in parallel across disks when a thread
-    // pool is attached (devices serialise internally, so one queue per
-    // device is the natural unit, and it is also the granularity the
+    // flight per disk queue (devices serialise internally, so one queue
+    // per device is the natural unit, and it is also the granularity the
     // tracer reports: the request finishes when the slowest queue does).
     // `fetch_node` is the round's phase span on the request trace;
-    // per-disk batches, retries and hedge decodes hang under it.
+    // per-disk batches, retries, eager and hedge decodes hang under it.
     auto fetch_round = [&](const AccessPlan& p, std::uint32_t fetch_node) -> FetchOutcome {
         FetchOutcome outcome;
         const auto& fetches = p.fetches();
@@ -471,22 +494,7 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
                                         obs::DiskHeatModel::now_seconds());
             if (derived > 0.0) hedge_deadline_ms = derived;
         }
-        const bool hedge_mode = pool_ != nullptr && hedge_deadline_ms > 0.0;
-
-        // Destinations: each pending slot keeps the buffer an earlier
-        // round gave it, or gets its place in `dest` (requested elements)
-        // or staging. Each belongs to exactly one queue, so queue workers
-        // never share a slot. Hedged rounds skip this: their queue tasks
-        // own their buffers outright so a straggling queue can outlive
-        // this frame.
-        if (!hedge_mode) {
-            outs.resize(idx.size());
-            for (std::size_t j = 0; j < idx.size(); ++j) {
-                Slot& slot = slots[idx[j]];
-                if (slot.buf.data() == nullptr) slot.buf = make_element(fetches[idx[j]].request, dest);
-                outs[j] = slot.buf.span();
-            }
-        }
+        const bool hedged = pool_ != nullptr && hedge_deadline_ms > 0.0;
 
         if (heat != nullptr && !request_load_recorded) {
             // First round's deepest queue is the request's max per-disk
@@ -498,303 +506,216 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
                              obs::DiskHeatModel::now_seconds());
         }
 
-        std::mutex state_mu;
-        std::vector<DiskId> bad;          // guarded by state_mu
-        std::optional<Error> last_error;  // guarded by state_mu
+        // Destinations. Unhedged: each pending slot keeps the buffer an
+        // earlier round gave it, or gets its place in `dest` (requested
+        // elements) or staging; each belongs to exactly one flight.
+        // Hedged: the round reads into buffers it owns, and a flight's
+        // elements move into their slots when it is reaped.
+        const auto round = std::make_shared<Round>(queues.size());
+        Round& r = *round;
+        r.opts = &opts;
+        r.heat = heat;
+        r.hedged = hedged;
+        r.timed = hedged || rt != nullptr || tracer != nullptr || heat != nullptr;
+        if (hedged) {
+            r.own_rows.assign(rows.begin(), rows.end());
+            r.bufs.reserve(idx.size());
+            r.own_outs.reserve(idx.size());
+            for (std::size_t j = 0; j < idx.size(); ++j) {
+                r.bufs.push_back(
+                    ElementBuf::alloc(static_cast<std::size_t>(element_bytes_), buffer_pool_));
+                r.own_outs.push_back(r.bufs.back().span());
+            }
+            r.rows = r.own_rows;
+            r.outs = r.own_outs;
+        } else {
+            outs.resize(idx.size());
+            for (std::size_t j = 0; j < idx.size(); ++j) {
+                Slot& slot = slots[idx[j]];
+                if (slot.buf.data() == nullptr) slot.buf = make_element(fetches[idx[j]].request, dest);
+                outs[j] = slot.buf.span();
+            }
+            r.tc = TraceCtx{rt, fetch_node};
+            r.rows = rows;
+            r.outs = outs;
+        }
 
-        auto run_queue = [&](std::size_t a) {
-            const core::DiskRun& queue = queues[a];
-            const std::size_t n = queue.end - queue.begin;
-            const double issue_us = tracer != nullptr ? tracer->now_us() : 0.0;
-            const double rt_issue_us = rt != nullptr ? obs::forensic_now_us() : 0.0;
-            const auto heat_t0 = heat != nullptr ? std::chrono::steady_clock::now()
-                                                 : std::chrono::steady_clock::time_point{};
-            if (heat != nullptr) heat->on_issue(queue.disk);
-            std::size_t done = 0;
-            auto status = submit_queue(queue.disk, rows.subspan(queue.begin, n),
-                                       std::span<const ByteSpan>(outs).subspan(queue.begin, n),
-                                       opts, &done, TraceCtx{rt, fetch_node});
-            if (heat != nullptr) {
-                const double queue_us = std::chrono::duration<double, std::micro>(
-                                            std::chrono::steady_clock::now() - heat_t0)
-                                            .count();
-                const double now_s = obs::DiskHeatModel::now_seconds();
-                heat->on_complete(queue.disk, static_cast<std::int64_t>(done),
-                                  static_cast<std::int64_t>(done) * element_bytes_, queue_us,
-                                  now_s);
-                if (!status.ok() && status.error().code != Error::Code::timeout) {
-                    heat->on_error(queue.disk, now_s);
-                }
-            }
-            if (rt != nullptr) {
-                const std::uint32_t batch_node = rt->complete(
-                    fetch_node, "disk.batch", rt_issue_us, obs::forensic_now_us() - rt_issue_us,
-                    {obs::RequestTrace::IntAttr{"disk", queue.disk},
-                     {"elements", static_cast<std::int64_t>(n)},
-                     {"done", static_cast<std::int64_t>(done)},
-                     {"bytes", static_cast<std::int64_t>(done) * element_bytes_}});
-                if (!status.ok()) rt->attr(batch_node, "error", status.error().message);
-            }
-            // This queue's slots are its own: mark them without a lock.
-            for (std::size_t j = 0; j < done; ++j) slots[idx[queue.begin + j]].held = true;
-            if (!status.ok()) {
-                // The device is suspect: abandon its remaining queue and
-                // let the replan route around it.
-                std::lock_guard<std::mutex> lock(state_mu);
-                bad.push_back(queue.disk);
-                last_error = status.error();
-                return;
-            }
-            if (tracer != nullptr) {
-                tracer->complete("disk.batch", "io", issue_us, tracer->now_us() - issue_us,
-                                 {{"disk", std::to_string(queue.disk)},
-                                  {"elements", std::to_string(n)}});
-            }
-        };
-
-        // Serial overlapped execution: without a pool, per-disk queues
-        // would otherwise run strictly one after another even though the
-        // devices can overlap (io_uring keeps a batch in flight per disk).
-        // When every participating device reports async_reads(), submit
-        // all queues first, then await them in submission order — the
-        // disks seek/read concurrently while this thread blocks on the
-        // first — and run decode recipes eagerly as each disk's elements
-        // land, so decode overlaps the remaining in-flight reads.
-        // Per-op timeouts need per-op timing, which async batches don't
-        // give; that policy keeps the submit_queue path.
-        bool async_overlap =
-            !hedge_mode && pool_ == nullptr && opts.op_timeout_ms <= 0.0 && queues.size() > 1;
-        if (async_overlap) {
-            for (const core::DiskRun& q : queues) {
-                async_overlap =
-                    async_overlap && devices_[static_cast<std::size_t>(q.disk)]->async_reads();
+        // Submit every flight before reaping any, so the disks overlap.
+        // Async devices take a batch (per-op timeouts need per-op timing,
+        // which a batch does not give); with a pool, other queues become
+        // pool tasks (all of them when hedged: an in-flight batch cannot
+        // be abandoned); the rest run inline when reaped.
+        const bool pool_flights = hedged || (pool_ != nullptr && queues.size() > 1);
+        for (std::size_t a = 0; a < queues.size(); ++a) {
+            Flight& f = r.flights[a];
+            f.disk = queues[a].disk;
+            f.begin = queues[a].begin;
+            f.end = queues[a].end;
+            store::BlockDevice& device = *devices_[static_cast<std::size_t>(f.disk)];
+            if (!hedged && opts.op_timeout_ms <= 0.0 && device.async_reads()) {
+                start_flight(r, f);
+                f.batch = device.submit_read_batch(r.rows.subspan(f.begin, f.end - f.begin),
+                                                   r.outs.subspan(f.begin, f.end - f.begin));
+            } else if (pool_flights) {
+                f.pooled = true;
+                if (hedged) orphan_started();
+                pool_->submit([this, round, a] {
+                    Flight& flight = round->flights[a];
+                    if (flight.claim()) run_pooled(*round, flight);
+                });
             }
         }
 
-        if (hedge_mode) {
-            // Hedged execution: every queue is a self-contained task that
-            // owns its buffers and co-owns the shared round state. When
-            // the slowest queue is still running past the hedge deadline,
-            // its elements are decoded from the other disks and the round
-            // returns WITHOUT joining it — the orphaned queue finishes on
-            // the pool (tracked by the executor's orphan counter so sinks
-            // and devices outlive it), keeps feeding the heat model with
-            // its true stall latency, and its late payload is dropped
-            // with the last shared reference to the state.
-            auto state = std::make_shared<HedgeState>();
-            state->opts = &opts;
-            state->rows.assign(rows.begin(), rows.end());
-            state->bufs.reserve(idx.size());
-            state->outs.reserve(idx.size());
-            for (std::size_t j = 0; j < idx.size(); ++j) {
-                state->bufs.push_back(
-                    ElementBuf::alloc(static_cast<std::size_t>(element_bytes_), buffer_pool_));
-                state->outs.push_back(state->bufs.back().span());
-            }
-            state->queue_done.assign(queues.size(), 0);
-            state->queues.resize(queues.size());
-            for (std::size_t a = 0; a < queues.size(); ++a) {
-                state->queues[a].disk = queues[a].disk;
-                state->queues[a].begin = queues[a].begin;
-                state->queues[a].end = queues[a].end;
-            }
-            for (std::size_t a = 0; a < queues.size(); ++a) {
-                orphan_started();
-                pool_->submit([this, state, a] {
-                    run_hedged_queue(*state, a);
-                    {
-                        // Notify under the mutex: the waiter may drop its
-                        // state reference the moment the predicate holds.
-                        std::lock_guard<std::mutex> lock(state->mu);
-                        state->queue_done[a] = 1;
-                        ++state->done;
-                        state->cv.notify_all();
-                    }
-                    orphan_finished();
-                });
-            }
-            std::unique_lock<std::mutex> lock(state->mu);
-            const bool all_done =
-                state->cv.wait_for(lock,
-                                   std::chrono::duration<double, std::milli>(hedge_deadline_ms),
-                                   [&] { return state->done == state->queues.size(); });
-            if (!all_done) {
-                std::vector<char> avoid(devices_.size(), 0);
-                std::vector<std::size_t> stragglers;
-                for (std::size_t a = 0; a < queues.size(); ++a) {
-                    if (!state->queue_done[a]) {
-                        avoid[static_cast<std::size_t>(queues[a].disk)] = 1;
-                        stragglers.push_back(a);
-                    }
-                }
-                lock.unlock();
-                for (DiskId d : excluded) avoid[static_cast<std::size_t>(d)] = 1;
-                if (rt != nullptr) {
-                    rt->complete(fetch_node, "hedge.trigger", obs::forensic_now_us(), 0.0,
-                                 {{"stragglers", std::to_string(stragglers.size())},
-                                  {"deadline_ms", std::to_string(hedge_deadline_ms)},
-                                  {"auto", opts.auto_hedge ? "true" : "false"}});
-                }
-                for (std::size_t a : stragglers) {
-                    for (std::size_t j = queues[a].begin; j < queues[a].end; ++j) {
-                        const core::Access& access = fetches[idx[j]];
-                        if (m.hedged_reads != nullptr) m.hedged_reads->add(1);
-                        if (rt != nullptr) rt->count_hedge();
-                        ElementBuf target =
-                            ElementBuf::alloc(static_cast<std::size_t>(element_bytes_),
-                                              buffer_pool_);
-                        const double hedge_t0 = rt != nullptr ? obs::forensic_now_us() : 0.0;
-                        const bool decoded = side_decode(access.coord, avoid, target.span());
-                        if (rt != nullptr) {
-                            rt->complete(fetch_node, "hedge.decode", hedge_t0,
-                                         obs::forensic_now_us() - hedge_t0,
-                                         {{"disk", std::to_string(queues[a].disk)},
-                                          {"stripe", std::to_string(access.coord.stripe)},
-                                          {"group", std::to_string(access.coord.group)},
-                                          {"position", std::to_string(access.coord.position)},
-                                          {"decoded", decoded ? "true" : "false"}});
-                        }
-                        if (decoded) {
-                            slots[idx[j]].buf = std::move(target);
-                            slots[idx[j]].held = true;
-                        }
-                    }
-                }
-                lock.lock();
-                // A straggler whose elements could not all be hedge-decoded
-                // must be joined after all — correctness beats the
-                // deadline. (Typical cause: every queue missed the deadline
-                // at once, e.g. a saturated pool, so `avoid` left no disks
-                // to decode from. A genuinely slow minority decodes fully
-                // and this wait returns immediately.)
-                state->cv.wait(lock, [&] {
-                    for (std::size_t a : stragglers) {
-                        if (state->queue_done[a] != 0) continue;
-                        for (std::size_t j = queues[a].begin; j < queues[a].end; ++j) {
-                            if (!slots[idx[j]].held) return false;
-                        }
-                    }
-                    return true;
-                });
-            }
-            // Harvest every queue that has finished by now — the decode
-            // window above may have let a near-miss complete. Stragglers
-            // stay orphaned; their elements were hedge-decoded instead.
-            const std::vector<char> finished = state->queue_done;
-            lock.unlock();
-            for (std::size_t a = 0; a < state->queues.size(); ++a) {
-                if (finished[a] == 0) continue;
-                HedgeState::Queue& hq = state->queues[a];
-                const std::size_t n = hq.end - hq.begin;
-                if (rt != nullptr) {
-                    const std::uint32_t batch_node = rt->complete(
-                        fetch_node, "disk.batch", hq.issue_us, hq.dur_us,
-                        {obs::RequestTrace::IntAttr{"disk", hq.disk},
-                         {"elements", static_cast<std::int64_t>(n)},
-                         {"done", static_cast<std::int64_t>(hq.done_ops)},
-                         {"bytes", static_cast<std::int64_t>(hq.done_ops) * element_bytes_}});
-                    if (!hq.status.ok()) rt->attr(batch_node, "error", hq.status.error().message);
-                }
-                if (tracer != nullptr) {
-                    tracer->complete("disk.batch", "io", tracer->now_us() - hq.dur_us, hq.dur_us,
-                                     {{"disk", std::to_string(hq.disk)},
-                                      {"elements", std::to_string(n)}});
-                }
-                if (!hq.status.ok()) {
-                    bad.push_back(hq.disk);
-                    last_error = hq.status.error();
-                }
-                for (std::size_t j = hq.begin; j < hq.begin + hq.done_ops; ++j) {
-                    Slot& slot = slots[idx[j]];
-                    if (slot.held) continue;  // hedge-decoded already
-                    slot.buf = std::move(state->bufs[j]);
-                    slot.held = true;
-                }
-            }
-        } else if (async_overlap) {
-            struct Flight {
-                std::unique_ptr<store::BlockDevice::AsyncBatch> batch;
-                double issue_us = 0.0;     // tracer clock
-                double rt_issue_us = 0.0;  // forensic clock
-                std::chrono::steady_clock::time_point heat_t0;
-            };
-            const std::span<const ByteSpan> all_outs(outs);
-            std::vector<Flight> flights(queues.size());
-            for (std::size_t a = 0; a < queues.size(); ++a) {
-                const core::DiskRun& queue = queues[a];
-                Flight& f = flights[a];
-                f.issue_us = tracer != nullptr ? tracer->now_us() : 0.0;
-                f.rt_issue_us = rt != nullptr ? obs::forensic_now_us() : 0.0;
-                f.heat_t0 = std::chrono::steady_clock::now();
-                if (heat != nullptr) heat->on_issue(queue.disk);
-                const std::size_t n = queue.end - queue.begin;
-                f.batch = devices_[static_cast<std::size_t>(queue.disk)]->submit_read_batch(
-                    rows.subspan(queue.begin, n), all_outs.subspan(queue.begin, n));
-            }
-            for (std::size_t a = 0; a < queues.size(); ++a) {
-                const core::DiskRun& queue = queues[a];
-                const std::size_t n = queue.end - queue.begin;
-                Flight& f = flights[a];
-                std::size_t done = 0;
-                Status status = f.batch->await(&done);
+        std::vector<DiskId> bad;
+        std::optional<Error> last_error;
+
+        // The completion bookkeeping of every reaped flight: settle an
+        // async batch (retrying its failed suffix under the policy), feed
+        // heat and both tracers, mark what landed held, and note a bad
+        // disk for the replan.
+        auto finish_queue = [&](Flight& f) {
+            const std::size_t n = f.end - f.begin;
+            if (f.batch != nullptr) {
+                f.status = f.batch->await(&f.landed);
                 f.batch.reset();
-                if (!status.ok() && status.error().code == Error::Code::io_error &&
-                    opts.max_retries > 0 && done < n) {
-                    // Recover the suffix through the policy path: the
-                    // failed op and everything behind it get the retry /
-                    // backoff machinery, re-reading over whatever the
-                    // abandoned async ops may have scribbled.
+                if (!f.status.ok() && f.status.error().code == Error::Code::io_error &&
+                    opts.max_retries > 0 && f.landed < n) {
+                    // The failed op and everything behind it get the
+                    // retry / backoff machinery, re-reading over whatever
+                    // the abandoned async ops may have scribbled.
+                    const std::size_t from = f.begin + f.landed;
+                    const std::size_t left = n - f.landed;
                     std::size_t more = 0;
-                    status = submit_queue(queue.disk, rows.subspan(queue.begin + done, n - done),
-                                          all_outs.subspan(queue.begin + done, n - done), opts,
-                                          &more, TraceCtx{rt, fetch_node});
-                    done += more;
+                    f.status = submit_queue(f.disk, r.rows.subspan(from, left),
+                                            r.outs.subspan(from, left), opts, &more,
+                                            TraceCtx{rt, fetch_node});
+                    f.landed += more;
                 }
-                if (heat != nullptr) {
-                    const double queue_us = std::chrono::duration<double, std::micro>(
-                                                std::chrono::steady_clock::now() - f.heat_t0)
-                                                .count();
-                    const double now_s = obs::DiskHeatModel::now_seconds();
-                    heat->on_complete(queue.disk, static_cast<std::int64_t>(done),
-                                      static_cast<std::int64_t>(done) * element_bytes_, queue_us,
-                                      now_s);
-                    if (!status.ok() && status.error().code != Error::Code::timeout) {
-                        heat->on_error(queue.disk, now_s);
+                if (r.timed) f.dur_us = obs::forensic_now_us() - f.start_us;
+            }
+            feed_heat(r, f);
+            if (rt != nullptr) {
+                const std::uint32_t batch_node = rt->complete(
+                    fetch_node, "disk.batch", f.start_us, f.dur_us,
+                    {obs::RequestTrace::IntAttr{"disk", f.disk},
+                     {"elements", static_cast<std::int64_t>(n)},
+                     {"done", static_cast<std::int64_t>(f.landed)},
+                     {"bytes", static_cast<std::int64_t>(f.landed) * element_bytes_}});
+                if (!f.status.ok()) rt->attr(batch_node, "error", f.status.error().message);
+            }
+            if (tracer != nullptr && f.status.ok()) {
+                // Both clocks are steady; only the epoch differs.
+                const double tracer_start_us =
+                    f.start_us + (tracer->now_us() - obs::forensic_now_us());
+                tracer->complete("disk.batch", "io", tracer_start_us, f.dur_us,
+                                 {{"disk", std::to_string(f.disk)},
+                                  {"elements", std::to_string(n)}});
+            }
+            for (std::size_t j = f.begin; j < f.begin + f.landed; ++j) {
+                Slot& slot = slots[idx[j]];
+                if (slot.held) continue;  // hedge-decoded already
+                if (hedged) slot.buf = std::move(r.bufs[j]);
+                slot.held = true;
+            }
+            if (!f.status.ok()) {
+                // The device is suspect: let the replan route around it.
+                bad.push_back(f.disk);
+                last_error = f.status.error();
+            }
+        };
+
+        // Wait for pool flight `f` to finish. Hedged, give up once it has
+        // run `hedge_deadline_ms` since its own start: a flight still
+        // queued behind busy pool threads is never late.
+        auto await_pooled = [&](Flight& f) {
+            std::unique_lock<std::mutex> lock(r.mu);
+            if (!hedged) {
+                r.cv.wait(lock, [&] { return f.state.load() == Flight::done; });
+                return true;
+            }
+            r.cv.wait(lock, [&] { return f.state.load() >= Flight::running; });
+            const double left_us =
+                f.start_us + hedge_deadline_ms * 1000.0 - obs::forensic_now_us();
+            return r.cv.wait_for(lock,
+                                 std::chrono::duration<double, std::micro>(std::max(left_us, 0.0)),
+                                 [&] { return f.state.load() == Flight::done; });
+        };
+
+        // Reap in submission order through one completion routine, and
+        // let any recipe whose sources just landed decode now, overlapping
+        // the flights still out.
+        std::vector<std::size_t> stragglers;
+        for (std::size_t a = 0; a < r.flights.size(); ++a) {
+            Flight& f = r.flights[a];
+            // An unhedged reaper runs a pool flight no pool thread has
+            // started yet itself (caller participation): no read waits on
+            // a wake-up, and nested pool use stays deadlock-free.
+            if (f.batch == nullptr && (!f.pooled || (!hedged && f.claim()))) {
+                start_flight(r, f);
+                run_queue(r, f);
+            } else if (f.pooled && !await_pooled(f)) {
+                stragglers.push_back(a);
+                continue;
+            }
+            finish_queue(f);
+            // Partial mode cannot fail: recipes missing sources are
+            // skipped and re-tried by the final decode stage.
+            (void)try_decode(p, slots, /*partial=*/true, TraceCtx{rt, fetch_node}, dest, scratch);
+        }
+
+        if (!stragglers.empty()) {
+            // Hedge: decode every straggler's elements from the disks that
+            // are neither straggling nor excluded.
+            std::vector<char> avoid(devices_.size(), 0);
+            for (std::size_t a : stragglers) avoid[static_cast<std::size_t>(r.flights[a].disk)] = 1;
+            for (DiskId d : excluded) avoid[static_cast<std::size_t>(d)] = 1;
+            if (rt != nullptr) {
+                rt->complete(fetch_node, "hedge.trigger", obs::forensic_now_us(), 0.0,
+                             {{"stragglers", std::to_string(stragglers.size())},
+                              {"deadline_ms", std::to_string(hedge_deadline_ms)},
+                              {"auto", opts.auto_hedge ? "true" : "false"}});
+            }
+            for (std::size_t a : stragglers) {
+                const Flight& f = r.flights[a];
+                for (std::size_t j = f.begin; j < f.end; ++j) {
+                    const core::Access& access = fetches[idx[j]];
+                    Slot& slot = slots[idx[j]];
+                    if (m.hedged_reads != nullptr) m.hedged_reads->add(1);
+                    if (rt != nullptr) rt->count_hedge();
+                    if (slot.buf.data() == nullptr) slot.buf = make_element(access.request, dest);
+                    const double hedge_t0 = rt != nullptr ? obs::forensic_now_us() : 0.0;
+                    slot.held = rebuild_element(access.coord, avoid, slot.buf.span()).ok();
+                    if (rt != nullptr) {
+                        rt->complete(fetch_node, "hedge.decode", hedge_t0,
+                                     obs::forensic_now_us() - hedge_t0,
+                                     {{"disk", std::to_string(f.disk)},
+                                      {"stripe", std::to_string(access.coord.stripe)},
+                                      {"group", std::to_string(access.coord.group)},
+                                      {"position", std::to_string(access.coord.position)},
+                                      {"decoded", slot.held ? "true" : "false"}});
                     }
                 }
-                if (rt != nullptr) {
-                    const std::uint32_t batch_node = rt->complete(
-                        fetch_node, "disk.batch", f.rt_issue_us,
-                        obs::forensic_now_us() - f.rt_issue_us,
-                        {obs::RequestTrace::IntAttr{"disk", queue.disk},
-                         {"elements", static_cast<std::int64_t>(n)},
-                         {"done", static_cast<std::int64_t>(done)},
-                         {"bytes", static_cast<std::int64_t>(done) * element_bytes_}});
-                    if (!status.ok()) rt->attr(batch_node, "error", status.error().message);
-                }
-                if (tracer != nullptr && status.ok()) {
-                    tracer->complete("disk.batch", "io", f.issue_us,
-                                     tracer->now_us() - f.issue_us,
-                                     {{"disk", std::to_string(queue.disk)},
-                                      {"elements", std::to_string(n)}});
-                }
-                // Let any recipe whose sources just completed decode now,
-                // overlapping the disks still in flight.
-                for (std::size_t j = 0; j < done; ++j) slots[idx[queue.begin + j]].held = true;
-                if (!status.ok()) {
-                    bad.push_back(queue.disk);
-                    last_error = status.error();
-                    continue;
-                }
-                // Partial mode cannot fail: recipes missing sources are
-                // skipped and re-tried by the final decode stage.
-                Status eager = try_decode(p, slots, /*partial=*/true, TraceCtx{rt, fetch_node}, dest);
-                (void)eager;
             }
-        } else if (pool_ != nullptr && queues.size() > 1) {
-            parallel_for(*pool_, queues.size(), run_queue);
-        } else {
-            for (std::size_t a = 0; a < queues.size(); ++a) run_queue(a);
+            // Settle each straggler. One whose elements could not all be
+            // decoded is joined after all: correctness beats the deadline.
+            // One that has finished by now is reaped. The rest are
+            // abandoned to finish on the pool (orphan-counted), and their
+            // late bytes die with the round.
+            for (std::size_t a : stragglers) {
+                Flight& f = r.flights[a];
+                bool covered = true;
+                for (std::size_t j = f.begin; j < f.end && covered; ++j) {
+                    covered = slots[idx[j]].held;
+                }
+                bool reap = false;
+                {
+                    std::unique_lock<std::mutex> lock(r.mu);
+                    if (!covered) r.cv.wait(lock, [&] { return f.state.load() == Flight::done; });
+                    int running = Flight::running;
+                    reap = !f.state.compare_exchange_strong(running, Flight::abandoned);
+                }
+                if (reap) finish_queue(f);
+            }
         }
 
         for (std::size_t i = 0; i < fetches.size(); ++i) {
@@ -874,16 +795,17 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
 
 Status PlanExecutor::decode(const AccessPlan& plan, std::vector<Slot>& slots, TraceCtx tc,
                             ReadDest dest) const {
-    return try_decode(plan, slots, /*partial=*/false, tc, dest);
+    DecodeScratch scratch;
+    return try_decode(plan, slots, /*partial=*/false, tc, dest, scratch);
 }
 
 Status PlanExecutor::try_decode(const AccessPlan& plan, std::vector<Slot>& slots, bool partial,
-                                TraceCtx tc, ReadDest dest) const {
+                                TraceCtx tc, ReadDest dest, DecodeScratch& scratch) const {
     const ExecutorMetrics& m = metrics();
     const std::size_t first = plan.fetches().size();
-    std::vector<ConstByteSpan> srcs;
-    std::vector<std::uint8_t> coeffs;
-    std::vector<ByteSpan> target_span;
+    std::vector<ConstByteSpan>& srcs = scratch.srcs;
+    std::vector<std::uint8_t>& coeffs = scratch.coeffs;
+    std::vector<ByteSpan>& target_span = scratch.target;
     for (std::size_t d = 0; d < plan.decodes().size(); ++d) {
         const core::GroupDecode& decode = plan.decodes()[d];
         Slot& target = slots[first + d];

@@ -4,20 +4,25 @@
 //
 //   - per-disk submission queues: each AccessPlan::DiskBatch is issued as
 //     chunked vectored read_batch calls with a bounded in-flight depth
-//     (RecoveryOptions::batch_elements), one queue per disk, dispatched in
-//     parallel when a thread pool is attached;
+//     (RecoveryOptions::batch_elements), one queue per disk;
+//   - one submit/reap loop per fetch round: every queue is put in flight
+//     first (an async device batch, a pool task, or nothing yet for a
+//     queue the reaper runs inline), then reaped in submission order
+//     through one completion routine, with eager decode as sources land;
 //   - the self-healing policy: bounded retries with exponential backoff,
 //     per-op timeout detection, hedged reads that decode a straggling
-//     disk's elements from the others, and mid-flight degraded replans
-//     that reuse every element already fetched;
+//     disk's elements from the others (the hedge deadline counts from
+//     each queue's start, so a queue still waiting for a pool thread is
+//     never a straggler), and mid-flight degraded replans that reuse
+//     every element already fetched;
 //   - the decode stage that materialises lost elements from a plan's
 //     repair recipes.
 //
 // The same engine serves the normal/degraded read path (fetch + decode),
-// reconstruction (rebuild_element), and scrub/verify (read_group), so all
-// three share one I/O policy. All methods are thread-safe: N readers may
-// call fetch() concurrently, and recovery options / observability can be
-// swapped while requests are in flight.
+// reconstruction and hedging (rebuild_element), and scrub/verify
+// (read_group), so all share one I/O policy. All methods are thread-safe:
+// N readers may call fetch() concurrently, and recovery options /
+// observability can be swapped while requests are in flight.
 //
 // Per-request element state is a flat slot table indexed like the plan:
 // fetch i is slot i, decode recipe d's target is slot fetches + d. A slot
@@ -64,9 +69,9 @@ struct RecoveryOptions {
     /// of retrying it. (Per-op deadlines need per-op timing, so timed
     /// queues issue elements singly instead of as vectored batches.)
     double op_timeout_ms = 0.0;
-    /// >0 (needs a thread pool): when the slowest fetch queue is still
-    /// outstanding after this deadline, hedge its elements by decoding
-    /// them from the other disks instead of waiting.
+    /// >0 (needs a thread pool): when a fetch queue is still running this
+    /// long after it started, hedge its elements by decoding them from
+    /// the other disks instead of waiting.
     double hedge_ms = 0.0;
     /// Adaptive hedging (needs a thread pool and an attached
     /// DiskHeatModel): derive the hedge deadline per fetch round from the
@@ -140,12 +145,12 @@ class PlanExecutor {
 
     ~PlanExecutor() { drain_orphans(); }
 
-    /// Block until every orphaned hedge queue (a straggling per-disk fetch
-    /// abandoned at its hedge deadline, still finishing on the pool) has
-    /// completed. Owners of anything those queues touch — the devices, an
-    /// attached heat model or metric registry — must call this before
-    /// tearing that dependency down; attach() and the destructor do so
-    /// automatically.
+    /// Block until every hedged pool flight (including a straggling
+    /// per-disk fetch abandoned at its hedge deadline, still finishing on
+    /// the pool) has completed. Owners of anything those flights touch —
+    /// the devices, an attached heat model or metric registry — must call
+    /// this before tearing that dependency down; attach() and the
+    /// destructor do so automatically.
     void drain_orphans() const {
         std::unique_lock<std::mutex> lock(orphan_mu_);
         orphan_cv_.wait(lock, [&] { return orphans_ == 0; });
@@ -212,20 +217,29 @@ class PlanExecutor {
     /// mid-flight — reusing every element already in hand. Fails with the
     /// last typed device error when recovery is exhausted.
     ///
+    /// Each round submits one flight per disk queue before reaping any:
+    /// an AsyncBatch on devices whose async_reads() is true (unless per-op
+    /// timeouts are on), a pool task when a pool is attached and the
+    /// round has several queues, otherwise a queue run inline when the
+    /// reaper reaches it. Flights are reaped in submission order; after
+    /// each, decode recipes whose sources are all held run eagerly. In an
+    /// unhedged round the reaper runs a pool flight that no pool thread
+    /// has started yet itself, so no read waits on a pool wake-up. A
+    /// hedged round (hedge_ms or auto_hedge, with a pool) makes every
+    /// flight a pool task and gives each a deadline counted from its own
+    /// start; only flights still running past it have their elements
+    /// decoded from the other disks (rebuild_element), and the round
+    /// returns without joining them.
+    ///
     /// When `rt` is given, the pipeline appends its causal tree to the
     /// request: contiguous `plan`/`fetch` phase spans per round directly
     /// under the root (so phase durations tile the request), with
-    /// per-disk batches, retries, backoff waits, timeouts and hedge
-    /// decodes as children of the round's fetch span. Safe across pool
-    /// and hedge threads.
+    /// per-disk batches, retries, backoff waits, timeouts, eager decodes
+    /// and hedge decodes as children of the round's fetch span.
     /// Requested elements land in `dest` (see ReadDest), except in hedged
-    /// rounds, whose queue tasks own their buffers so a straggling queue
+    /// rounds, whose flights read into round-owned buffers so a straggler
     /// can outlive the requesting frame. A replan carries every held slot
-    /// over to the new plan's slot with the same coordinates. On devices
-    /// whose async_reads() is true and with no thread pool attached, the
-    /// serial path submits every disk's batch before awaiting any
-    /// (cross-disk overlap from one thread) and runs decode recipes
-    /// eagerly as their sources land.
+    /// over to the new plan's slot with the same coordinates.
     Result<FetchResult> fetch(const Replanner& replan, std::vector<DiskId> excluded,
                               obs::RequestTrace* rt = nullptr, ReadDest dest = {}) const;
 
@@ -239,7 +253,8 @@ class PlanExecutor {
 
     /// Rebuild one element into `target` from group sources living on
     /// disks not marked in `avoid` (indexed by DiskId), using policy
-    /// reads. Returns the number of source elements read.
+    /// reads. Returns the number of source elements read. Serves
+    /// reconstruction and the hedge decodes of fetch().
     Result<std::int64_t> rebuild_element(const layout::GroupCoord& coord,
                                          const std::vector<char>& avoid, ByteSpan target) const;
 
@@ -277,9 +292,6 @@ class PlanExecutor {
     /// transient errors. On timeout the payload is discarded and
     /// Error::timeout is returned (the caller routes around the device).
     Status device_read(DiskId disk, RowId row, ByteSpan out) const;
-    /// Device write with bounded retries on transient errors (a retry
-    /// rewrites the full payload, healing torn writes).
-    Status device_write(DiskId disk, RowId row, ConstByteSpan data) const;
 
   private:
     const RecoveryOptions& options() const { return *recovery_.load(std::memory_order_acquire); }
@@ -302,17 +314,19 @@ class PlanExecutor {
                               std::span<const ConstByteSpan> data, const RecoveryOptions& opts,
                               std::size_t* done, TraceCtx tc = {}) const;
 
-    /// Hedge path: decode one element directly from alive source disks
-    /// into `target`, bypassing the queue machinery. `avoid` marks disks
-    /// that must not be touched (stragglers and excluded disks).
-    bool side_decode(const layout::GroupCoord& coord, const std::vector<char>& avoid,
-                     ByteSpan target) const;
+    /// Reused gather lists of try_decode, so repeated eager passes do not
+    /// allocate.
+    struct DecodeScratch {
+        std::vector<ConstByteSpan> srcs;
+        std::vector<std::uint8_t> coeffs;
+        std::vector<ByteSpan> target;
+    };
 
     /// Decode engine behind decode(): with `partial`, recipes whose
     /// sources are not all held are skipped instead of failing (the eager
     /// pass as per-disk completions arrive).
     Status try_decode(const core::AccessPlan& plan, std::vector<Slot>& slots, bool partial,
-                      TraceCtx tc, ReadDest dest) const;
+                      TraceCtx tc, ReadDest dest, DecodeScratch& scratch) const;
 
     /// Storage for the element at request index `request`: its place in
     /// `dest` when it lies wholly inside, else staging.
@@ -327,36 +341,19 @@ class PlanExecutor {
         return ElementBuf::alloc(static_cast<std::size_t>(element_bytes_), buffer_pool_);
     }
 
-    /// Shared state of one hedged fetch round. Heap-allocated and co-owned
-    /// by every queue task, so the requesting frame can return at the
-    /// hedge deadline without joining a straggling queue: the orphaned
-    /// task finishes on the pool against this state, and its late result
-    /// dies with the last shared reference. Flat like the round it
-    /// copies: queue a owns [begin, end) of rows, bufs and outs.
-    struct HedgeState {
-        struct Queue {
-            DiskId disk = -1;
-            std::size_t begin = 0;
-            std::size_t end = 0;
-            Status status = Status::success();
-            std::size_t done_ops = 0;
-            double issue_us = 0.0;  // forensic clock, for frame-side spans
-            double dur_us = 0.0;
-        };
-        const RecoveryOptions* opts = nullptr;  // a retired-safe snapshot
-        std::vector<RowId> rows;
-        std::vector<ElementBuf> bufs;     // bufs[j] receives rows[j]
-        std::vector<ByteSpan> outs;       // bufs' spans, for the device
-        std::mutex mu;
-        std::condition_variable cv;
-        std::size_t done = 0;             // guarded by mu
-        std::vector<char> queue_done;     // guarded by mu
-        std::vector<Queue> queues;        // queues[a] owned by task a until done
-    };
+    /// One per-disk queue of a fetch round, and the round that owns
+    /// them (both defined in plan_executor.cpp).
+    struct Flight;
+    struct Round;
 
-    /// Task body of one hedged queue: self-contained device I/O + heat
-    /// feed, no access to the requesting frame (which may have returned).
-    void run_hedged_queue(HedgeState& state, std::size_t a) const;
+    /// Start a flight's clock and report its issue to the heat model.
+    void start_flight(const Round& round, Flight& flight) const;
+    /// Issue a started flight's queue through submit_queue.
+    void run_queue(Round& round, Flight& flight) const;
+    /// Body of a pool flight that its pool task has claimed.
+    void run_pooled(Round& round, Flight& flight) const;
+    /// Feed a settled flight's latency and errors to the heat model.
+    void feed_heat(const Round& round, const Flight& flight) const;
 
     void orphan_started() const {
         std::lock_guard<std::mutex> lock(orphan_mu_);
@@ -394,7 +391,7 @@ class PlanExecutor {
 
     mutable std::mutex orphan_mu_;
     mutable std::condition_variable orphan_cv_;
-    mutable std::int64_t orphans_ = 0;  // dispatched hedge queues not yet finished
+    mutable std::int64_t orphans_ = 0;  // hedged pool flights not yet finished
 };
 
 }  // namespace ecfrm::exec

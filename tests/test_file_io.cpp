@@ -17,6 +17,7 @@
 #include "codes/factory.h"
 #include "common/buffer_pool.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "store/file_disk.h"
 #include "store/io_backend.h"
@@ -311,44 +312,50 @@ TEST(IoBackendSelection, UringDegradesToPreadWhenUnavailable) {
 // The zero-copy guarantee: on every backend, element-granular reads route
 // each requested data element straight into the caller's buffer (fetched
 // there by the device, or — degraded — decoded there), so the assemble
-// stage copies nothing. The store's staging-copy counter is the witness.
+// stage copies nothing, whether the executor runs its disk queues inline
+// or on a thread pool. The store's staging-copy counter is the witness.
 TEST_P(BackendTest, HealthyReadsPerformZeroStagingCopies) {
     const IoBackend backend = GetParam();
-    TempDir dir("zerocopy");
-    const std::int64_t elem = 512;
-    auto code = codes::make_code("rs:6,3");
-    ASSERT_TRUE(code.ok());
-    auto opened = StripeStore::open(
-        core::Scheme(code.value(), layout::LayoutKind::ecfrm), elem,
-        [&](int index) -> Result<std::unique_ptr<BlockDevice>> {
-            return open_file_device(dir.path(), index, elem, backend);
-        });
-    ASSERT_TRUE(opened.ok()) << opened.error().message;
-    auto store = std::move(opened).take();
+    ThreadPool pool(3);
+    for (ThreadPool* executor_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        SCOPED_TRACE(executor_pool != nullptr ? "pool" : "no pool");
+        TempDir dir(executor_pool != nullptr ? "zerocopy_pool" : "zerocopy");
+        const std::int64_t elem = 512;
+        auto code = codes::make_code("rs:6,3");
+        ASSERT_TRUE(code.ok());
+        auto opened = StripeStore::open(
+            core::Scheme(code.value(), layout::LayoutKind::ecfrm), elem,
+            [&](int index) -> Result<std::unique_ptr<BlockDevice>> {
+                return open_file_device(dir.path(), index, elem, backend);
+            },
+            executor_pool);
+        ASSERT_TRUE(opened.ok()) << opened.error().message;
+        auto store = std::move(opened).take();
 
-    const auto payload = random_bytes(static_cast<std::size_t>(40 * elem), 77);
-    ASSERT_TRUE(store->append(ConstByteSpan(payload.data(), payload.size())).ok());
-    ASSERT_TRUE(store->flush().ok());
+        const auto payload = random_bytes(static_cast<std::size_t>(40 * elem), 77);
+        ASSERT_TRUE(store->append(ConstByteSpan(payload.data(), payload.size())).ok());
+        ASSERT_TRUE(store->flush().ok());
 
-    // Healthy path: whole range plus a sweep of strided sub-ranges.
-    const std::int64_t payload_elems = 40;
-    std::vector<std::uint8_t> out(payload.size());
-    ASSERT_TRUE(store->read_elements(0, payload_elems, ByteSpan(out.data(), out.size())).ok());
-    EXPECT_EQ(out, payload);
-    for (std::int64_t start = 0; start + 3 <= payload_elems; start += 7) {
-        std::vector<std::uint8_t> part(static_cast<std::size_t>(3 * elem));
-        ASSERT_TRUE(store->read_elements(start, 3, ByteSpan(part.data(), part.size())).ok());
-        ASSERT_EQ(0, std::memcmp(part.data(), payload.data() + start * elem, part.size()));
+        // Healthy path: whole range plus a sweep of strided sub-ranges.
+        const std::int64_t payload_elems = 40;
+        std::vector<std::uint8_t> out(payload.size());
+        ASSERT_TRUE(store->read_elements(0, payload_elems, ByteSpan(out.data(), out.size())).ok());
+        EXPECT_EQ(out, payload);
+        for (std::int64_t start = 0; start + 3 <= payload_elems; start += 7) {
+            std::vector<std::uint8_t> part(static_cast<std::size_t>(3 * elem));
+            ASSERT_TRUE(store->read_elements(start, 3, ByteSpan(part.data(), part.size())).ok());
+            ASSERT_EQ(0, std::memcmp(part.data(), payload.data() + start * elem, part.size()));
+        }
+        EXPECT_EQ(store->assemble_staging_copies(), 0);
+
+        // Degraded path: the lost data elements are decoded directly into
+        // the caller buffer, so even this read stays copy-free.
+        ASSERT_TRUE(store->fail_disk(1).ok());
+        std::fill(out.begin(), out.end(), 0);
+        ASSERT_TRUE(store->read_elements(0, payload_elems, ByteSpan(out.data(), out.size())).ok());
+        EXPECT_EQ(out, payload);
+        EXPECT_EQ(store->assemble_staging_copies(), 0);
     }
-    EXPECT_EQ(store->assemble_staging_copies(), 0);
-
-    // Degraded path (serial executor): the lost data elements are decoded
-    // directly into the caller buffer, so even this read stays copy-free.
-    ASSERT_TRUE(store->fail_disk(1).ok());
-    std::fill(out.begin(), out.end(), 0);
-    ASSERT_TRUE(store->read_elements(0, payload_elems, ByteSpan(out.data(), out.size())).ok());
-    EXPECT_EQ(out, payload);
-    EXPECT_EQ(store->assemble_staging_copies(), 0);
 }
 
 TEST(BufferPool, AcquireReleaseAndHeapFallback) {

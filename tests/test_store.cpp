@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <future>
 #include <limits>
 #include <string>
 #include <thread>
@@ -621,6 +623,28 @@ TEST(StoreRecovery, HedgedReadDecodesAroundStraggler) {
     ASSERT_TRUE(out.ok()) << out.error().message;
     EXPECT_EQ(out.value(), f.data);
     EXPECT_GE(f.counter("ecfrm_store_hedged_reads_total"), 1);
+}
+
+TEST(StoreRecovery, HedgeIgnoresQueuesThePoolHasNotStarted) {
+    // A late pool is not a slow disk. With the only pool thread held far
+    // past the hedge deadline, every queue of the read waits for it; the
+    // deadline counts from each queue's own start, so none straggles and
+    // nothing is hedged.
+    RecoveryOptions recovery;
+    recovery.hedge_ms = 5.0;  // each queue itself takes microseconds
+    ThreadPool pool(1);
+    FaultyFixture f("rs:6,3", FaultPlan{}, recovery, &pool);
+
+    std::promise<void> holding;
+    pool.submit([&holding] {
+        holding.set_value();
+        std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    });
+    holding.get_future().wait();
+    auto out = f.store->read_bytes(0, static_cast<std::int64_t>(f.data.size()));
+    ASSERT_TRUE(out.ok()) << out.error().message;
+    EXPECT_EQ(out.value(), f.data);
+    EXPECT_EQ(f.counter("ecfrm_store_hedged_reads_total"), 0);
 }
 
 TEST(StoreRecovery, ForensicsCaptureReplannedReadWithTiledPhases) {
