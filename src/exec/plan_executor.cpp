@@ -109,20 +109,12 @@ Status PlanExecutor::device_read(DiskId disk, RowId row, ByteSpan out) const {
     return read_with_policy(disk, row, out, options());
 }
 
-Status PlanExecutor::submit_queue(DiskId disk, std::span<const RowId> rows,
-                                  std::span<const ByteSpan> outs, const RecoveryOptions& opts,
-                                  std::size_t* done, TraceCtx tc) const {
+template <typename Buf, typename BatchOp, typename OneOp>
+Status PlanExecutor::submit_ops(DiskId disk, std::span<const RowId> rows,
+                                std::span<const Buf> bufs, const RecoveryOptions& opts,
+                                std::size_t* done, TraceCtx tc, const BatchOp& batch,
+                                const OneOp& one) const {
     *done = 0;
-    store::BlockDevice& device = *devices_[static_cast<std::size_t>(disk)];
-    if (opts.op_timeout_ms > 0.0) {
-        // Per-op deadline detection needs per-op timing: issue singly.
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            auto status = read_with_policy(disk, rows[i], outs[i], opts, tc);
-            if (!status.ok()) return status;
-            *done = i + 1;
-        }
-        return Status::success();
-    }
     const ExecutorMetrics& m = metrics();
     obs::DiskHeatModel* const heat = this->heat();
     const std::size_t depth =
@@ -131,7 +123,7 @@ Status PlanExecutor::submit_queue(DiskId disk, std::span<const RowId> rows,
     while (offset < rows.size()) {
         const std::size_t n = std::min(depth, rows.size() - offset);
         std::size_t completed = 0;
-        auto status = device.read_batch(rows.subspan(offset, n), outs.subspan(offset, n), &completed);
+        auto status = batch(rows.subspan(offset, n), bufs.subspan(offset, n), &completed);
         *done += completed;
         if (status.ok()) {
             offset += n;
@@ -155,7 +147,7 @@ Status PlanExecutor::submit_queue(DiskId disk, std::span<const RowId> rows,
                                  {"error", retried.error().message}});
             }
             traced_backoff(opts, attempt - 1, disk, tc);
-            retried = device.read(rows[j], outs[j]);
+            retried = one(rows[j], bufs[j]);
             if (retried.ok()) break;
             if (retried.error().code != Error::Code::io_error) return retried;
         }
@@ -166,54 +158,24 @@ Status PlanExecutor::submit_queue(DiskId disk, std::span<const RowId> rows,
     return Status::success();
 }
 
-Status PlanExecutor::submit_write_queue(DiskId disk, std::span<const RowId> rows,
-                                        std::span<const ConstByteSpan> data,
-                                        const RecoveryOptions& opts, std::size_t* done,
-                                        TraceCtx tc) const {
-    *done = 0;
-    store::BlockDevice& device = *devices_[static_cast<std::size_t>(disk)];
-    const ExecutorMetrics& m = metrics();
-    obs::DiskHeatModel* const heat = this->heat();
-    const std::size_t depth =
-        opts.batch_elements > 0 ? static_cast<std::size_t>(opts.batch_elements) : rows.size();
-    std::size_t offset = 0;
-    while (offset < rows.size()) {
-        const std::size_t n = std::min(depth, rows.size() - offset);
-        std::size_t completed = 0;
-        auto status =
-            device.write_batch(rows.subspan(offset, n), data.subspan(offset, n), &completed);
-        *done += completed;
-        if (status.ok()) {
-            offset += n;
-            continue;
+Status PlanExecutor::submit_queue(DiskId disk, std::span<const RowId> rows,
+                                  std::span<const ByteSpan> outs, const RecoveryOptions& opts,
+                                  std::size_t* done, TraceCtx tc) const {
+    if (opts.op_timeout_ms > 0.0) {
+        // Per-op deadline detection needs per-op timing: issue singly.
+        *done = 0;
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            auto status = read_with_policy(disk, rows[i], outs[i], opts, tc);
+            if (!status.ok()) return status;
+            *done = i + 1;
         }
-        // The op at `offset + completed` failed and the rest of the chunk
-        // was never attempted. Retry just that op under the policy — a
-        // retry rewrites the full payload, healing a torn write.
-        if (status.error().code != Error::Code::io_error || opts.max_retries < 1) return status;
-        const std::size_t j = offset + completed;
-        Status retried = status;
-        for (int attempt = 1; attempt <= opts.max_retries; ++attempt) {
-            if (m.retries != nullptr) m.retries->add(1);
-            if (heat != nullptr) heat->on_retry(disk, obs::DiskHeatModel::now_seconds());
-            if (tc.rt != nullptr) {
-                tc.rt->count_retry();
-                tc.rt->complete(tc.parent, "retry", obs::forensic_now_us(), 0.0,
-                                {{"disk", std::to_string(disk)},
-                                 {"row", std::to_string(rows[j])},
-                                 {"attempt", std::to_string(attempt)},
-                                 {"error", retried.error().message}});
-            }
-            traced_backoff(opts, attempt - 1, disk, tc);
-            retried = device.write(rows[j], data[j]);
-            if (retried.ok()) break;
-            if (retried.error().code != Error::Code::io_error) return retried;
-        }
-        if (!retried.ok()) return retried;
-        *done += 1;
-        offset = j + 1;
+        return Status::success();
     }
-    return Status::success();
+    const store::BlockDevice& device = *devices_[static_cast<std::size_t>(disk)];
+    return submit_ops(
+        disk, rows, outs, opts, done, tc,
+        [&](auto r, auto o, std::size_t* completed) { return device.read_batch(r, o, completed); },
+        [&](RowId row, ByteSpan out) { return device.read(row, out); });
 }
 
 Result<PlanExecutor::WriteReport> PlanExecutor::write(const core::WritePlan& plan,
@@ -243,10 +205,14 @@ Result<PlanExecutor::WriteReport> PlanExecutor::write(const core::WritePlan& pla
         for (std::size_t i : queue.write_indices) data.push_back(payloads[writes[i].payload]);
         const double rt_issue_us = tc.rt != nullptr ? obs::forensic_now_us() : 0.0;
         if (heat != nullptr) heat->on_issue(queue.disk);
+        store::BlockDevice& device = *devices_[static_cast<std::size_t>(queue.disk)];
         std::size_t done = 0;
-        auto status = submit_write_queue(queue.disk, queue.rows,
-                                         std::span<const ConstByteSpan>(data.data(), data.size()),
-                                         opts, &done, tc);
+        // A retry rewrites the full payload, healing a torn write.
+        auto status = submit_ops(
+            queue.disk, queue.rows, std::span<const ConstByteSpan>(data.data(), data.size()), opts,
+            &done, tc,
+            [&](auto r, auto d, std::size_t* landed) { return device.write_batch(r, d, landed); },
+            [&](RowId row, ConstByteSpan d) { return device.write(row, d); });
         if (heat != nullptr) {
             const double now_s = obs::DiskHeatModel::now_seconds();
             heat->on_write_complete(queue.disk, static_cast<std::int64_t>(done),
@@ -289,16 +255,14 @@ Result<PlanExecutor::WriteReport> PlanExecutor::write(const core::WritePlan& pla
     return WriteReport{written.load(), skipped.load()};
 }
 
-/// One per-disk queue of a fetch round: an AsyncBatch in flight, a pool
-/// task, or a queue the reaper runs inline. `state` matters to pool
-/// flights only. The pool task and an unhedged reaper race to claim a
-/// queued flight; a hedged reaper may abandon a running one. Changes the
-/// reaper waits on are made under the round's mutex.
-struct PlanExecutor::Flight {
+/// One per-disk queue of a fetch round ([begin, end) of the round's
+/// rows/outs): an AsyncBatch in flight, a pool task, or a queue the
+/// reaper runs inline. `state` matters to pool flights only. The pool
+/// task and an unhedged reaper race to claim a queued flight; a hedged
+/// reaper may abandon a running one. Changes the reaper waits on are
+/// made under the round's mutex.
+struct PlanExecutor::Flight : core::DiskRun {
     enum State : int { queued, claimed, running, done, abandoned };
-    DiskId disk = -1;
-    std::size_t begin = 0;  // the queue is [begin, end) of the round's rows/outs
-    std::size_t end = 0;
     bool pooled = false;
     std::unique_ptr<store::BlockDevice::AsyncBatch> batch;
     std::atomic<int> state{queued};
@@ -316,10 +280,11 @@ struct PlanExecutor::Flight {
 };
 
 /// One fetch round's flights and the memory they read into, co-owned by
-/// its pool tasks. A task that finds its flight claimed by the reaper
-/// touches nothing else, so unhedged rounds may point `rows`/`outs` at
-/// the requesting frame, which reaps every flight before it returns. A
-/// hedged round owns copies instead, so a straggler can outlive it.
+/// its pool tasks if it has any. A task that finds its flight claimed by
+/// the reaper touches nothing else, so unhedged rounds may point
+/// `rows`/`outs` at the requesting frame, which reaps every flight
+/// before it returns. A hedged round owns copies instead, so a straggler
+/// can outlive it. No flights when every queue runs inline.
 struct PlanExecutor::Round {
     explicit Round(std::size_t queues) : flights(queues) {}
     const RecoveryOptions* opts = nullptr;  // a retired-safe snapshot
@@ -506,13 +471,29 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
                              obs::DiskHeatModel::now_seconds());
         }
 
+        // Flights that go out before any is reaped, so the disks overlap:
+        // async batches (per-op timeouts need per-op timing, which a batch
+        // does not give; an in-flight batch cannot be abandoned, so none
+        // when hedged) and, with a pool, pool tasks for the other queues
+        // (all of them when hedged). The rest run inline when reaped.
+        // Only pool tasks need the round on the heap.
+        const bool async_flights = !hedged && opts.op_timeout_ms <= 0.0;
+        const bool pool_flights = hedged || (pool_ != nullptr && queues.size() > 1);
+        bool ahead = pool_flights;
+        for (std::size_t a = 0; a < queues.size() && !ahead; ++a) {
+            ahead = async_flights &&
+                    devices_[static_cast<std::size_t>(queues[a].disk)]->async_reads();
+        }
+        std::shared_ptr<Round> shared;
+        std::optional<Round> local;
+        Round& r = pool_flights ? *(shared = std::make_shared<Round>(queues.size()))
+                                : local.emplace(ahead ? queues.size() : 0);
+
         // Destinations. Unhedged: each pending slot keeps the buffer an
         // earlier round gave it, or gets its place in `dest` (requested
         // elements) or staging; each belongs to exactly one flight.
         // Hedged: the round reads into buffers it owns, and a flight's
         // elements move into their slots when it is reaped.
-        const auto round = std::make_shared<Round>(queues.size());
-        Round& r = *round;
         r.opts = &opts;
         r.heat = heat;
         r.hedged = hedged;
@@ -540,30 +521,26 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
             r.outs = outs;
         }
 
-        // Submit every flight before reaping any, so the disks overlap.
-        // Async devices take a batch (per-op timeouts need per-op timing,
-        // which a batch does not give); with a pool, other queues become
-        // pool tasks (all of them when hedged: an in-flight batch cannot
-        // be abandoned); the rest run inline when reaped.
-        const bool pool_flights = hedged || (pool_ != nullptr && queues.size() > 1);
-        for (std::size_t a = 0; a < queues.size(); ++a) {
+        std::size_t out_end = 0;  // one past the last flight that goes out
+        for (std::size_t a = 0; a < r.flights.size(); ++a) {
             Flight& f = r.flights[a];
-            f.disk = queues[a].disk;
-            f.begin = queues[a].begin;
-            f.end = queues[a].end;
+            static_cast<core::DiskRun&>(f) = queues[a];
             store::BlockDevice& device = *devices_[static_cast<std::size_t>(f.disk)];
-            if (!hedged && opts.op_timeout_ms <= 0.0 && device.async_reads()) {
+            if (async_flights && device.async_reads()) {
                 start_flight(r, f);
                 f.batch = device.submit_read_batch(r.rows.subspan(f.begin, f.end - f.begin),
                                                    r.outs.subspan(f.begin, f.end - f.begin));
             } else if (pool_flights) {
                 f.pooled = true;
                 if (hedged) orphan_started();
-                pool_->submit([this, round, a] {
-                    Flight& flight = round->flights[a];
-                    if (flight.claim()) run_pooled(*round, flight);
+                pool_->submit([this, shared, a] {
+                    Flight& flight = shared->flights[a];
+                    if (flight.claim()) run_pooled(*shared, flight);
                 });
+            } else {
+                continue;
             }
+            out_end = a + 1;
         }
 
         std::vector<DiskId> bad;
@@ -641,12 +618,15 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
                                  [&] { return f.state.load() == Flight::done; });
         };
 
-        // Reap in submission order through one completion routine, and
-        // let any recipe whose sources just landed decode now, overlapping
-        // the flights still out.
+        // Reap in submission order through one completion routine. While
+        // a later flight is still out, let any recipe whose sources just
+        // landed decode now, overlapping that flight's I/O; with nothing
+        // left to overlap, the decode stage does the rest.
         std::vector<std::size_t> stragglers;
-        for (std::size_t a = 0; a < r.flights.size(); ++a) {
-            Flight& f = r.flights[a];
+        for (std::size_t a = 0; a < queues.size(); ++a) {
+            Flight solo;
+            if (r.flights.empty()) static_cast<core::DiskRun&>(solo) = queues[a];
+            Flight& f = r.flights.empty() ? solo : r.flights[a];
             // An unhedged reaper runs a pool flight no pool thread has
             // started yet itself (caller participation): no read waits on
             // a wake-up, and nested pool use stays deadlock-free.
@@ -660,7 +640,10 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
             finish_queue(f);
             // Partial mode cannot fail: recipes missing sources are
             // skipped and re-tried by the final decode stage.
-            (void)try_decode(p, slots, /*partial=*/true, TraceCtx{rt, fetch_node}, dest, scratch);
+            if (a + 1 < out_end) {
+                (void)try_decode(p, slots, /*partial=*/true, TraceCtx{rt, fetch_node}, dest,
+                                 scratch);
+            }
         }
 
         if (!stragglers.empty()) {

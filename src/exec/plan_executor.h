@@ -8,7 +8,8 @@
 //   - one submit/reap loop per fetch round: every queue is put in flight
 //     first (an async device batch, a pool task, or nothing yet for a
 //     queue the reaper runs inline), then reaped in submission order
-//     through one completion routine, with eager decode as sources land;
+//     through one completion routine, with eager decode as sources land
+//     while I/O is still out to overlap;
 //   - the self-healing policy: bounded retries with exponential backoff,
 //     per-op timeout detection, hedged reads that decode a straggling
 //     disk's elements from the others (the hedge deadline counts from
@@ -222,7 +223,8 @@ class PlanExecutor {
     /// timeouts are on), a pool task when a pool is attached and the
     /// round has several queues, otherwise a queue run inline when the
     /// reaper reaches it. Flights are reaped in submission order; after
-    /// each, decode recipes whose sources are all held run eagerly. In an
+    /// each one that a later async or pool flight is still overlapping,
+    /// decode recipes whose sources are all held run eagerly. In an
     /// unhedged round the reaper runs a pool flight that no pool thread
     /// has started yet itself, so no read waits on a pool wake-up. A
     /// hedged round (hedge_ms or auto_hedge, with a pool) makes every
@@ -302,17 +304,18 @@ class PlanExecutor {
     Status read_with_policy(DiskId disk, RowId row, ByteSpan out, const RecoveryOptions& opts,
                             TraceCtx tc = {}) const;
 
-    /// Issue one per-disk submission queue: rows/outs already row-sorted,
-    /// chunked to opts.batch_elements per read_batch call. `*done` counts
-    /// elements that landed (also on failure).
+    /// Issue one per-disk read queue (rows/outs row-sorted) through
+    /// submit_ops, or op by op under per-op timeouts.
     Status submit_queue(DiskId disk, std::span<const RowId> rows, std::span<const ByteSpan> outs,
                         const RecoveryOptions& opts, std::size_t* done, TraceCtx tc = {}) const;
 
-    /// Write-side twin of submit_queue: chunked write_batch calls with
-    /// suffix retry of the failing op.
-    Status submit_write_queue(DiskId disk, std::span<const RowId> rows,
-                              std::span<const ConstByteSpan> data, const RecoveryOptions& opts,
-                              std::size_t* done, TraceCtx tc = {}) const;
+    /// Chunked submission of reads and writes: `batch` issues up to
+    /// opts.batch_elements ops per call, `one` retries a transiently
+    /// failed op with backoff. `*done` counts ops that landed.
+    template <typename Buf, typename BatchOp, typename OneOp>
+    Status submit_ops(DiskId disk, std::span<const RowId> rows, std::span<const Buf> bufs,
+                      const RecoveryOptions& opts, std::size_t* done, TraceCtx tc,
+                      const BatchOp& batch, const OneOp& one) const;
 
     /// Reused gather lists of try_decode, so repeated eager passes do not
     /// allocate.

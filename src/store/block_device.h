@@ -1,7 +1,7 @@
 // BlockDevice: the device abstraction under StripeStore. One device holds
 // fixed-size element slots addressed by row. Implementations: the
 // in-memory Disk (tests, benches, simulations) and the persistent
-// FileDisk (CLI tool / durable archives).
+// UringDisk (CLI tool / durable archives; pread or io_uring underneath).
 #pragma once
 
 #include <atomic>
@@ -57,8 +57,8 @@ class BlockDevice {
     /// reports how many leading ops succeeded — on error, ops past that
     /// prefix were not attempted. The base implementation is a
     /// per-element fallback; Disk overrides it to take its lock once per
-    /// batch and FileDisk to coalesce adjacent rows into sequential file
-    /// I/O. FaultDevice keeps the per-element path so fault schedules
+    /// batch and UringDisk to check the whole batch up front, then
+    /// coalesce adjacent rows into single transfers. FaultDevice keeps the per-element path so fault schedules
     /// stay keyed to op sequence numbers.
     virtual Status read_batch(std::span<const RowId> rows, std::span<const ByteSpan> outs,
                               std::size_t* completed = nullptr) const {

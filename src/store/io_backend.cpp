@@ -1,37 +1,19 @@
 #include "store/io_backend.h"
 
-#include <cstdlib>
 #include <map>
 #include <mutex>
 
-#include "store/file_disk.h"
 #include "store/uring_disk.h"
 
 namespace ecfrm::store {
 
 const char* to_string(IoBackend backend) {
-    switch (backend) {
-        case IoBackend::stdio: return "stdio";
-        case IoBackend::pread: return "pread";
-        case IoBackend::uring: return "uring";
-    }
-    return "unknown";
-}
-
-std::optional<IoBackend> parse_io_backend(const std::string& name) {
-    if (name == "stdio") return IoBackend::stdio;
-    if (name == "pread") return IoBackend::pread;
-    if (name == "uring") return IoBackend::uring;
-    return std::nullopt;
+    return backend == IoBackend::uring ? "uring" : "pread";
 }
 
 IoBackend default_io_backend() {
-    static const IoBackend backend = []() {
-        if (const char* v = std::getenv("ECFRM_IO_BACKEND")) {
-            if (auto parsed = parse_io_backend(v)) return *parsed;
-        }
-        return UringDisk::uring_available() ? IoBackend::uring : IoBackend::pread;
-    }();
+    static const IoBackend backend =
+        UringDisk::uring_available() ? IoBackend::uring : IoBackend::pread;
     return backend;
 }
 
@@ -56,24 +38,10 @@ Result<std::unique_ptr<BlockDevice>> open_file_device(const std::string& dir, in
                                                       std::int64_t element_bytes,
                                                       std::optional<IoBackend> backend) {
     const IoBackend chosen = backend.value_or(default_io_backend());
-    switch (chosen) {
-        case IoBackend::stdio: {
-            auto disk = FileDisk::open(dir, index, element_bytes);
-            if (!disk.ok()) return disk.error();
-            return std::unique_ptr<BlockDevice>(std::move(disk.value()));
-        }
-        case IoBackend::pread:
-        case IoBackend::uring: {
-            const auto mode =
-                chosen == IoBackend::uring ? UringDisk::Mode::uring : UringDisk::Mode::pread;
-            BufferPool* arena =
-                chosen == IoBackend::uring ? element_arena(element_bytes) : nullptr;
-            auto disk = UringDisk::open(dir, index, element_bytes, mode, arena);
-            if (!disk.ok()) return disk.error();
-            return std::unique_ptr<BlockDevice>(std::move(disk.value()));
-        }
-    }
-    return Error::invalid("unknown I/O backend");
+    BufferPool* arena = chosen == IoBackend::uring ? element_arena(element_bytes) : nullptr;
+    auto disk = UringDisk::open(dir, index, element_bytes, chosen, arena);
+    if (!disk.ok()) return disk.error();
+    return std::unique_ptr<BlockDevice>(std::move(disk).take());
 }
 
 }  // namespace ecfrm::store

@@ -1,6 +1,6 @@
-// Manifest: the tiny metadata record that makes a FileDisk-backed archive
-// reopenable — which code, which layout, element size, and how much data
-// has been committed. Stored as key=value lines in <dir>/MANIFEST.
+// Manifest: the tiny metadata record that makes a file-backed (UringDisk)
+// archive reopenable — which code, which layout, element size, and how
+// much data has been committed. Stored as key=value lines in <dir>/MANIFEST.
 #pragma once
 
 #include <cstdint>

@@ -69,7 +69,8 @@ struct ScrubReport {
 class StripeStore {
   public:
     /// Builds one BlockDevice per disk index. Used to plug in persistent
-    /// FileDisks (or anything else) instead of the default in-memory Disk.
+    /// file devices (open_file_device) or anything else instead of the
+    /// default in-memory Disk.
     using DeviceFactory = std::function<Result<std::unique_ptr<BlockDevice>>(int index)>;
 
     /// In-memory store. `pool` may be null (serial execution); when

@@ -30,9 +30,10 @@ off_t element_offset(RowId row, std::int64_t element_bytes) {
     return static_cast<off_t>(row) * static_cast<off_t>(element_bytes);
 }
 
-/// Same opt-in durability knob as FileDisk. This backend has no stdio
-/// buffers, so with ECFRM_FSYNC unset a write batch needs no flush at all
-/// (the page cache is the durability point, exactly as after fflush).
+/// ECFRM_FSYNC=1 makes every write (batch) end in an fsync of both files
+/// (opt-in durability knob; read once per process). Without it a write
+/// needs no flush at all: nothing is buffered in userspace, so the page
+/// cache is the durability point.
 bool fsync_enabled() {
     static const bool enabled = []() {
         const char* v = std::getenv("ECFRM_FSYNC");
@@ -372,12 +373,12 @@ class RingPool {
 // ---------------------------------------------------------------------------
 
 UringDisk::UringDisk(std::string data_path, std::string map_path, std::string failed_path,
-                     std::int64_t element_bytes, Mode mode, BufferPool* arena)
+                     std::int64_t element_bytes, IoBackend backend, BufferPool* arena)
     : data_path_(std::move(data_path)),
       map_path_(std::move(map_path)),
       failed_path_(std::move(failed_path)),
       element_bytes_(element_bytes),
-      mode_(mode),
+      backend_(backend),
       arena_(arena) {}
 
 UringDisk::~UringDisk() { close_files(); }
@@ -398,15 +399,15 @@ bool UringDisk::uring_available() {
 }
 
 Result<std::unique_ptr<UringDisk>> UringDisk::open(const std::string& dir, int index,
-                                                   std::int64_t element_bytes, Mode mode,
+                                                   std::int64_t element_bytes, IoBackend backend,
                                                    BufferPool* arena) {
     if (element_bytes <= 0) return Error::invalid("element_bytes must be positive");
     std::error_code ec;
     if (!fs::is_directory(dir, ec)) return Error::io("not a directory: " + dir);
 
     const std::string stem = dir + "/disk_" + std::to_string(index);
-    auto disk = std::unique_ptr<UringDisk>(
-        new UringDisk(stem + ".dat", stem + ".map", stem + ".failed", element_bytes, mode, arena));
+    auto disk = std::unique_ptr<UringDisk>(new UringDisk(
+        stem + ".dat", stem + ".map", stem + ".failed", element_bytes, backend, arena));
     disk->failed_ = fs::exists(disk->failed_path_, ec);
     if (!disk->failed_) {
         auto status = disk->open_files();
@@ -424,7 +425,7 @@ Status UringDisk::open_files() {
         close_files();
         return Error::io("cannot open device files under " + data_path_);
     }
-    if (mode_ == Mode::uring && uring_available()) {
+    if (backend_ == IoBackend::uring && uring_available()) {
         rings_ = uring_detail::RingPool::create(data_fd_, arena_);
     }
     return Status::success();
@@ -748,7 +749,7 @@ std::unique_ptr<BlockDevice::AsyncBatch> UringDisk::submit_read_batch(
     }
 #endif
 
-    // Blocking positional path (pread mode, uring unavailable, or every
+    // Blocking positional path (pread backend, uring unavailable, or every
     // ring busy). Still batched: one shared-lock hold, coalesced runs.
     BatchIoTimer timer(io_stats(), /*is_read=*/true, element_bytes_, rows.size());
     std::size_t done = 0;

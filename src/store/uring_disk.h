@@ -1,21 +1,24 @@
-// UringDisk: the fd-based asynchronous file BlockDevice.
+// UringDisk: the persistent, file-backed BlockDevice. Disk <i> lives
+// in three files under a directory:
+//   disk_<i>.dat    — element payloads at offset row * element_bytes
+//   disk_<i>.map    — one byte per row: 1 when the row has been written
+//   disk_<i>.failed — marker recording the failed state across runs
+// so an archive survives process restarts (ecfrm_cli, Manifest).
 //
-// Same on-disk format as FileDisk (disk_<i>.dat / disk_<i>.map /
-// disk_<i>.failed), so the two backends are interchangeable on the same
-// directory; what changes is how batches reach the kernel:
+// How batches reach the kernel (IoBackend, io_backend.h):
 //
-//   - positional I/O (pread/pwrite/preadv) instead of stdio streams — no
-//     shared stream position, so concurrent readers on one disk do NOT
-//     serialize (reads hold only a shared lock);
+//   - positional I/O (pread/pwrite/preadv) — no shared stream position,
+//     so concurrent readers on one disk do NOT serialize (reads hold
+//     only a shared lock);
 //   - adjacent rows coalesce into one transfer, and adjacent rows whose
 //     destination buffers are also contiguous in memory collapse into a
 //     single large read (the zero-copy fast path: an EC-FRM per-disk
 //     sequential batch lands in the caller's buffer with one op);
-//   - in `uring` mode, a batch's coalesced runs map 1:1 onto io_uring
-//     SQEs submitted together (true per-disk in-kernel queue depth), with
-//     the data file registered as a fixed file and — when a BufferPool
-//     arena is attached — destinations inside the arena issued as
-//     registered-buffer fixed reads. The ring layer is a minimal raw
+//   - with the `uring` backend, a batch's coalesced runs map 1:1 onto
+//     io_uring SQEs submitted together (true per-disk in-kernel queue
+//     depth), with the data file registered as a fixed file and — when a
+//     BufferPool arena is attached — destinations inside the arena issued
+//     as registered-buffer fixed reads. The ring layer is a minimal raw
 //     syscall shim (no liburing dependency); when the kernel lacks
 //     io_uring the device transparently degrades to the pread path.
 //
@@ -31,6 +34,7 @@
 
 #include "common/buffer_pool.h"
 #include "store/block_device.h"
+#include "store/io_backend.h"
 
 namespace ecfrm::store {
 
@@ -40,16 +44,12 @@ class RingPool;  // per-device pool of io_uring instances (uring_disk.cpp)
 
 class UringDisk final : public BlockDevice {
   public:
-    enum class Mode {
-        pread,  // positional syscalls only
-        uring,  // io_uring batched submission, pread fallback when absent
-    };
-
-    /// Open (or create) the device files for disk `index` under `dir`.
-    /// `arena` (optional, must outlive the device) is registered with the
-    /// rings so destinations inside it use fixed reads.
+    /// Open (or create) the device files for disk `index` under `dir`,
+    /// which must already exist. `arena` (optional, must outlive the
+    /// device) is registered with the rings so destinations inside it use
+    /// fixed reads.
     static Result<std::unique_ptr<UringDisk>> open(const std::string& dir, int index,
-                                                   std::int64_t element_bytes, Mode mode,
+                                                   std::int64_t element_bytes, IoBackend backend,
                                                    BufferPool* arena = nullptr);
 
     ~UringDisk() override;
@@ -70,7 +70,7 @@ class UringDisk final : public BlockDevice {
     RowId rows() const override;
     Status corrupt_byte(RowId row, std::size_t offset) override;
 
-    /// True when this device actually drives an io_uring (mode uring AND
+    /// True when this device actually drives an io_uring (backend uring AND
     /// the kernel provides it AND ring setup succeeded).
     bool uring_active() const;
 
@@ -82,7 +82,7 @@ class UringDisk final : public BlockDevice {
 
   private:
     UringDisk(std::string data_path, std::string map_path, std::string failed_path,
-              std::int64_t element_bytes, Mode mode, BufferPool* arena);
+              std::int64_t element_bytes, IoBackend backend, BufferPool* arena);
 
     Status open_files();
     void close_files();
@@ -112,7 +112,7 @@ class UringDisk final : public BlockDevice {
     std::string map_path_;
     std::string failed_path_;
     std::int64_t element_bytes_;
-    Mode mode_;
+    IoBackend backend_;
     BufferPool* arena_;
 
     /// Guards written_/failed_ and fd lifecycle: reads + in-flight async

@@ -1,10 +1,11 @@
-// The file I/O backends: stdio (FileDisk), pread and uring (UringDisk).
+// The file device (UringDisk) under both I/O backends, pread and uring.
 //
-// Pins the properties the io_uring work depends on: all three backends
-// are byte-identical on the same files, concurrent same-disk readers see
-// consistent bytes (the pread/uring backends without serializing on a
-// stream mutex), offsets survive >2 GiB files, write batches flush once,
-// the async batch contract holds, and the BufferPool arena behaves.
+// Pins the properties the io_uring work depends on: both backends are
+// byte-identical on the same files, concurrent same-disk readers see
+// consistent bytes without serializing, offsets survive >2 GiB files,
+// batches coalesce, reject holes whole and persist, write batches need
+// no flush without ECFRM_FSYNC, the async batch contract holds, and the
+// BufferPool arena behaves.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -19,7 +20,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
-#include "store/file_disk.h"
 #include "store/io_backend.h"
 #include "store/stripe_store.h"
 #include "store/uring_disk.h"
@@ -52,12 +52,12 @@ std::vector<std::uint8_t> random_bytes(std::size_t size, std::uint64_t seed) {
     return data;
 }
 
-const IoBackend kBackends[] = {IoBackend::stdio, IoBackend::pread, IoBackend::uring};
+const IoBackend kBackends[] = {IoBackend::pread, IoBackend::uring};
 
 class BackendTest : public ::testing::TestWithParam<IoBackend> {};
 
-// All backends share one on-disk format: write with each backend, read
-// back with every other, bytes identical.
+// Both backends share one on-disk format: write with each backend, read
+// back with either, bytes identical.
 TEST(IoBackend, BackendsShareOnDiskFormat) {
     TempDir dir("backend_format");
     constexpr std::int64_t kElem = 64;
@@ -95,8 +95,7 @@ TEST(IoBackend, BackendsShareOnDiskFormat) {
 
 // 8 readers hammer one disk with overlapping batch reads while checking
 // every byte. Run under TSAN this also proves the shared-lock read path
-// is race-free; on the pread/uring backends the readers genuinely
-// overlap (no stream-position mutex).
+// is race-free; the readers genuinely overlap (no stream-position mutex).
 TEST_P(BackendTest, ConcurrentSameDiskReadersSeeConsistentBytes) {
     TempDir dir("backend_mt");
     constexpr std::int64_t kElem = 128;
@@ -167,17 +166,17 @@ TEST_P(BackendTest, OffsetsBeyondTwoGiB) {
     EXPECT_GT(size, std::uint64_t{2} * 1024 * 1024 * 1024);
 }
 
-// A write batch takes ONE flush point, not one per element (the stdio
-// backend flushes both stream buffers => counter of 2 per batch; the fd
-// backends have no userspace buffers and count 0 without ECFRM_FSYNC).
-TEST(IoBackend, WriteBatchFlushesOncePerBatch) {
+// A write batch needs no flush point without ECFRM_FSYNC: the device
+// buffers nothing in userspace, so the flush counter stays at 0 however
+// many elements the batch carries.
+TEST_P(BackendTest, WriteBatchNeedsNoFlushWithoutFsync) {
     TempDir dir("backend_flush");
     constexpr std::int64_t kElem = 32;
     obs::MetricRegistry registry;
-    auto disk = open_file_device(dir.path(), 0, kElem, IoBackend::stdio);
+    auto disk = open_file_device(dir.path(), 0, kElem, GetParam());
     ASSERT_TRUE(disk.ok());
-    const obs::IoStats stdio_stats = registry.disk_io_stats(0);
-    disk.value()->attach_io_stats(stdio_stats);
+    const obs::IoStats stats = registry.disk_io_stats(0);
+    disk.value()->attach_io_stats(stats);
 
     const auto payload = random_bytes(static_cast<std::size_t>(kElem) * 16, 3);
     std::vector<RowId> rows;
@@ -187,18 +186,63 @@ TEST(IoBackend, WriteBatchFlushesOncePerBatch) {
         payloads.emplace_back(payload.data() + r * kElem, kElem);
     }
     ASSERT_TRUE(disk.value()->write_batch(rows, payloads).ok());
-    // 16 elements, one flush point: data+map streams flushed together.
-    ASSERT_NE(stdio_stats.flushes, nullptr);
-    EXPECT_EQ(stdio_stats.flushes->value(), 2);
+    ASSERT_NE(stats.flushes, nullptr);
+    EXPECT_EQ(stats.flushes->value(), 0);
+}
 
-    auto fd_disk = open_file_device(dir.path(), 1, kElem, IoBackend::pread);
-    ASSERT_TRUE(fd_disk.ok());
-    const obs::IoStats fd_stats = registry.disk_io_stats(1);
-    fd_disk.value()->attach_io_stats(fd_stats);
-    ASSERT_TRUE(fd_disk.value()->write_batch(rows, payloads).ok());
-    // fd backend: no userspace buffers, nothing to flush without
-    // ECFRM_FSYNC.
-    EXPECT_EQ(fd_stats.flushes->value(), 0);
+// Batch writes and reads over adjacent rows [2..5] (one coalesced run)
+// plus scattered rows 8 and 11: batched reads match per-op reads, a read
+// batch touching an unwritten hole is rejected whole with no element
+// transferred ("ops past the prefix were not attempted"), and the batch
+// writes, written-map bits for skipped rows included, survive a reopen.
+TEST_P(BackendTest, BatchesRejectHolesWholeAndPersist) {
+    const std::int64_t elem = 32;
+    TempDir dir("backend_batch");
+    const std::vector<RowId> rows = {2, 3, 4, 5, 8, 11};
+    std::vector<std::vector<std::uint8_t>> payloads;
+    for (RowId row : rows) {
+        payloads.push_back(random_bytes(static_cast<std::size_t>(elem), 100 + row));
+    }
+    {
+        auto disk = open_file_device(dir.path(), 0, elem, GetParam());
+        ASSERT_TRUE(disk.ok());
+        std::vector<ConstByteSpan> spans;
+        for (auto& p : payloads) spans.emplace_back(p.data(), p.size());
+        std::size_t completed = 0;
+        ASSERT_TRUE(disk.value()->write_batch(rows, spans, &completed).ok());
+        EXPECT_EQ(completed, rows.size());
+
+        std::vector<std::vector<std::uint8_t>> bufs(rows.size(),
+                                                    std::vector<std::uint8_t>(elem));
+        std::vector<ByteSpan> outs;
+        for (auto& b : bufs) outs.emplace_back(b.data(), b.size());
+        ASSERT_TRUE(disk.value()->read_batch(rows, outs, &completed).ok());
+        EXPECT_EQ(completed, rows.size());
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            std::vector<std::uint8_t> serial(static_cast<std::size_t>(elem));
+            ASSERT_TRUE(
+                disk.value()->read(rows[i], ByteSpan(serial.data(), serial.size())).ok());
+            EXPECT_EQ(bufs[i], serial) << "row " << rows[i];
+            EXPECT_EQ(bufs[i], payloads[i]) << "row " << rows[i];
+        }
+
+        const std::vector<RowId> holey = {4, 5, 6};
+        std::vector<ByteSpan> houts(outs.begin(), outs.begin() + 3);
+        completed = 99;
+        EXPECT_FALSE(disk.value()->read_batch(holey, houts, &completed).ok());
+        EXPECT_EQ(completed, 0u);
+    }
+    auto disk = open_file_device(dir.path(), 0, elem, GetParam());
+    ASSERT_TRUE(disk.ok());
+    EXPECT_EQ(disk.value()->rows(), 12);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        std::vector<std::uint8_t> out(static_cast<std::size_t>(elem));
+        ASSERT_TRUE(disk.value()->read(rows[i], ByteSpan(out.data(), out.size())).ok());
+        EXPECT_EQ(out, payloads[i]) << "row " << rows[i];
+    }
+    std::vector<std::uint8_t> out(static_cast<std::size_t>(elem));
+    EXPECT_FALSE(disk.value()->read(0, ByteSpan(out.data(), out.size())).ok());
+    EXPECT_FALSE(disk.value()->read(6, ByteSpan(out.data(), out.size())).ok());
 }
 
 // The async batch contract: submission returns before await, buffers are
@@ -252,8 +296,7 @@ TEST_P(BackendTest, AsyncBatchContract) {
     EXPECT_EQ(bad_done, 0u);
 }
 
-// Reads from a failed device fail, and a replaced device starts empty —
-// matching FileDisk semantics exactly.
+// Reads from a failed device fail, and a replaced device starts empty.
 TEST_P(BackendTest, FailAndReplaceSemantics) {
     TempDir dir("backend_fail");
     constexpr std::int64_t kElem = 16;
@@ -281,23 +324,18 @@ TEST_P(BackendTest, FailAndReplaceSemantics) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendTest, ::testing::ValuesIn(kBackends),
                          [](const auto& info) { return to_string(info.param); });
 
-TEST(IoBackendSelection, ParseAndDefault) {
-    EXPECT_EQ(parse_io_backend("uring"), IoBackend::uring);
-    EXPECT_EQ(parse_io_backend("pread"), IoBackend::pread);
-    EXPECT_EQ(parse_io_backend("stdio"), IoBackend::stdio);
-    EXPECT_EQ(parse_io_backend("aio"), std::nullopt);
-    // The default must be a real backend, and uring only when available.
-    const IoBackend def = default_io_backend();
-    if (!UringDisk::uring_available()) {
-        EXPECT_NE(def, IoBackend::uring);
-    }
+TEST(IoBackendSelection, DefaultIsUringOnlyWhenAvailable) {
+    EXPECT_EQ(default_io_backend(),
+              UringDisk::uring_available() ? IoBackend::uring : IoBackend::pread);
+    EXPECT_STREQ(to_string(IoBackend::pread), "pread");
+    EXPECT_STREQ(to_string(IoBackend::uring), "uring");
 }
 
 TEST(IoBackendSelection, UringDegradesToPreadWhenUnavailable) {
-    // Mode::uring on a kernel without io_uring (or an ECFRM_WITH_URING=OFF
-    // build) must still produce a working device.
+    // The uring backend on a kernel without io_uring (or an
+    // ECFRM_WITH_URING=OFF build) must still produce a working device.
     TempDir dir("backend_degrade");
-    auto disk = UringDisk::open(dir.path(), 0, 32, UringDisk::Mode::uring);
+    auto disk = UringDisk::open(dir.path(), 0, 32, IoBackend::uring);
     ASSERT_TRUE(disk.ok());
     if (!UringDisk::uring_available()) {
         EXPECT_FALSE(disk.value()->uring_active());
@@ -309,7 +347,7 @@ TEST(IoBackendSelection, UringDegradesToPreadWhenUnavailable) {
     EXPECT_EQ(out, payload);
 }
 
-// The zero-copy guarantee: on every backend, element-granular reads route
+// The zero-copy guarantee: on both backends, element-granular reads route
 // each requested data element straight into the caller's buffer (fetched
 // there by the device, or — degraded — decoded there), so the assemble
 // stage copies nothing, whether the executor runs its disk queues inline

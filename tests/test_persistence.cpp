@@ -1,5 +1,7 @@
-// FileDisk, Manifest and persistent StripeStore: data survives close and
-// reopen; failure markers persist; corruption hooks work on files too.
+// The file device, Manifest and persistent StripeStore: data survives
+// close and reopen; failure markers persist; corruption hooks work on
+// files too. Device and store tests run once per I/O backend (pread,
+// uring).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -10,7 +12,7 @@
 
 #include "codes/factory.h"
 #include "common/rng.h"
-#include "store/file_disk.h"
+#include "store/io_backend.h"
 #include "store/manifest.h"
 #include "store/stripe_store.h"
 
@@ -49,17 +51,20 @@ core::Scheme make_scheme(const std::string& spec, LayoutKind kind) {
     return core::Scheme(code.value(), kind);
 }
 
-StripeStore::DeviceFactory file_factory(const std::string& dir, std::int64_t element_bytes) {
-    return [dir, element_bytes](int index) -> Result<std::unique_ptr<BlockDevice>> {
-        auto disk = FileDisk::open(dir, index, element_bytes);
-        if (!disk.ok()) return disk.error();
-        return std::unique_ptr<BlockDevice>(std::move(disk).take());
+StripeStore::DeviceFactory file_factory(const std::string& dir, std::int64_t element_bytes,
+                                        IoBackend backend) {
+    return [dir, element_bytes, backend](int index) {
+        return open_file_device(dir, index, element_bytes, backend);
     };
 }
 
-TEST(FileDisk, WriteReadRoundTrip) {
+const IoBackend kBackends[] = {IoBackend::pread, IoBackend::uring};
+
+class FileDevice : public ::testing::TestWithParam<IoBackend> {};
+
+TEST_P(FileDevice, WriteReadRoundTrip) {
     TempDir dir("filedisk_rw");
-    auto disk = FileDisk::open(dir.path(), 0, 32);
+    auto disk = open_file_device(dir.path(), 0, 32, GetParam());
     ASSERT_TRUE(disk.ok());
     std::vector<std::uint8_t> payload(32, 0x5a);
     ASSERT_TRUE(disk.value()->write(3, ConstByteSpan(payload.data(), payload.size())).ok());
@@ -70,16 +75,16 @@ TEST(FileDisk, WriteReadRoundTrip) {
     EXPECT_EQ(disk.value()->rows(), 4);
 }
 
-TEST(FileDisk, ContentSurvivesReopen) {
+TEST_P(FileDevice, ContentSurvivesReopen) {
     TempDir dir("filedisk_reopen");
     std::vector<std::uint8_t> payload(16, 0xc3);
     {
-        auto disk = FileDisk::open(dir.path(), 1, 16);
+        auto disk = open_file_device(dir.path(), 1, 16, GetParam());
         ASSERT_TRUE(disk.ok());
         ASSERT_TRUE(disk.value()->write(0, ConstByteSpan(payload.data(), payload.size())).ok());
         ASSERT_TRUE(disk.value()->write(5, ConstByteSpan(payload.data(), payload.size())).ok());
     }
-    auto disk = FileDisk::open(dir.path(), 1, 16);
+    auto disk = open_file_device(dir.path(), 1, 16, GetParam());
     ASSERT_TRUE(disk.ok());
     std::vector<std::uint8_t> out(16);
     ASSERT_TRUE(disk.value()->read(0, ByteSpan(out.data(), out.size())).ok());
@@ -89,17 +94,17 @@ TEST(FileDisk, ContentSurvivesReopen) {
     EXPECT_FALSE(disk.value()->read(3, ByteSpan(out.data(), out.size())).ok());  // gap row
 }
 
-TEST(FileDisk, FailedStatePersists) {
+TEST_P(FileDevice, FailedStatePersists) {
     TempDir dir("filedisk_fail");
     std::vector<std::uint8_t> payload(16, 1);
     {
-        auto disk = FileDisk::open(dir.path(), 0, 16);
+        auto disk = open_file_device(dir.path(), 0, 16, GetParam());
         ASSERT_TRUE(disk.ok());
         ASSERT_TRUE(disk.value()->write(0, ConstByteSpan(payload.data(), payload.size())).ok());
         disk.value()->fail();
         EXPECT_TRUE(disk.value()->failed());
     }
-    auto disk = FileDisk::open(dir.path(), 0, 16);
+    auto disk = open_file_device(dir.path(), 0, 16, GetParam());
     ASSERT_TRUE(disk.ok());
     EXPECT_TRUE(disk.value()->failed());
     std::vector<std::uint8_t> out(16);
@@ -112,9 +117,12 @@ TEST(FileDisk, FailedStatePersists) {
     EXPECT_TRUE(disk.value()->read(0, ByteSpan(out.data(), out.size())).ok());
 }
 
-TEST(FileDisk, RejectsMissingDirectory) {
-    EXPECT_FALSE(FileDisk::open("/nonexistent/definitely/missing", 0, 16).ok());
+TEST_P(FileDevice, RejectsMissingDirectory) {
+    EXPECT_FALSE(open_file_device("/nonexistent/definitely/missing", 0, 16, GetParam()).ok());
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, FileDevice, ::testing::ValuesIn(kBackends),
+                         [](const auto& info) { return to_string(info.param); });
 
 TEST(Manifest, SaveLoadRoundTrip) {
     TempDir dir("manifest");
@@ -187,14 +195,16 @@ TEST(Manifest, ParseLayoutKind) {
     EXPECT_FALSE(parse_layout_kind("diagonal").ok());
 }
 
-TEST(PersistentStore, SurvivesCloseAndReopen) {
+class PersistentStore : public ::testing::TestWithParam<IoBackend> {};
+
+TEST_P(PersistentStore, SurvivesCloseAndReopen) {
     TempDir dir("pstore");
     const std::int64_t elem = 64;
     const auto data = random_bytes(64 * 75, 42);
 
     {
         auto st = StripeStore::open(make_scheme("lrc:6,2,2", LayoutKind::ecfrm), elem,
-                                    file_factory(dir.path(), elem));
+                                    file_factory(dir.path(), elem, GetParam()));
         ASSERT_TRUE(st.ok());
         ASSERT_TRUE(st.value()->append(ConstByteSpan(data.data(), data.size())).ok());
         ASSERT_TRUE(st.value()->flush().ok());
@@ -211,8 +221,9 @@ TEST(PersistentStore, SurvivesCloseAndReopen) {
     // Reopen in a fresh store object and read everything back.
     auto manifest = Manifest::load(dir.path());
     ASSERT_TRUE(manifest.ok());
-    auto st = StripeStore::open(make_scheme(manifest->code_spec, manifest->kind), manifest->element_bytes,
-                                file_factory(dir.path(), manifest->element_bytes));
+    const std::int64_t eb = manifest->element_bytes;
+    auto st = StripeStore::open(make_scheme(manifest->code_spec, manifest->kind), eb,
+                                file_factory(dir.path(), eb, GetParam()));
     ASSERT_TRUE(st.ok());
     ASSERT_TRUE(st.value()->restore(manifest->logical_bytes, manifest->stripes).ok());
     EXPECT_TRUE(st.value()->verify_parity().ok());
@@ -222,13 +233,13 @@ TEST(PersistentStore, SurvivesCloseAndReopen) {
     EXPECT_EQ(out.value(), data);
 }
 
-TEST(PersistentStore, DegradedReadAndReconstructOnFiles) {
+TEST_P(PersistentStore, DegradedReadAndReconstructOnFiles) {
     TempDir dir("pstore_degraded");
     const std::int64_t elem = 64;
     const auto data = random_bytes(64 * 75, 43);
 
     auto st = StripeStore::open(make_scheme("rs:6,3", LayoutKind::ecfrm), elem,
-                                file_factory(dir.path(), elem));
+                                file_factory(dir.path(), elem, GetParam()));
     ASSERT_TRUE(st.ok());
     ASSERT_TRUE(st.value()->append(ConstByteSpan(data.data(), data.size())).ok());
     ASSERT_TRUE(st.value()->flush().ok());
@@ -242,13 +253,13 @@ TEST(PersistentStore, DegradedReadAndReconstructOnFiles) {
     EXPECT_TRUE(st.value()->verify_parity().ok());
 }
 
-TEST(PersistentStore, ScrubRepairsFileBackedCorruption) {
+TEST_P(PersistentStore, ScrubRepairsFileBackedCorruption) {
     TempDir dir("pstore_scrub");
     const std::int64_t elem = 64;
     const auto data = random_bytes(64 * 36, 44);
 
     auto st = StripeStore::open(make_scheme("rs:6,3", LayoutKind::standard), elem,
-                                file_factory(dir.path(), elem));
+                                file_factory(dir.path(), elem, GetParam()));
     ASSERT_TRUE(st.ok());
     ASSERT_TRUE(st.value()->append(ConstByteSpan(data.data(), data.size())).ok());
     ASSERT_TRUE(st.value()->flush().ok());
@@ -264,7 +275,7 @@ TEST(PersistentStore, ScrubRepairsFileBackedCorruption) {
     EXPECT_EQ(out.value(), data);
 }
 
-TEST(PersistentStore, MultiExtentArchiveSurvivesReopen) {
+TEST_P(PersistentStore, MultiExtentArchiveSurvivesReopen) {
     // Two separate put-like sessions (append + flush each) create two
     // extents; the manifest must carry them and reads must stay contiguous.
     TempDir dir("pstore_extents");
@@ -274,7 +285,7 @@ TEST(PersistentStore, MultiExtentArchiveSurvivesReopen) {
 
     {
         auto st = StripeStore::open(make_scheme("rs:6,3", LayoutKind::ecfrm), elem,
-                                    file_factory(dir.path(), elem));
+                                    file_factory(dir.path(), elem, GetParam()));
         ASSERT_TRUE(st.ok());
         ASSERT_TRUE(st.value()->append(ConstByteSpan(part1.data(), part1.size())).ok());
         ASSERT_TRUE(st.value()->flush().ok());
@@ -295,8 +306,9 @@ TEST(PersistentStore, MultiExtentArchiveSurvivesReopen) {
     auto manifest = Manifest::load(dir.path());
     ASSERT_TRUE(manifest.ok());
     ASSERT_EQ(manifest->extents.size(), 2u);
-    auto st = StripeStore::open(make_scheme(manifest->code_spec, manifest->kind), manifest->element_bytes,
-                                file_factory(dir.path(), manifest->element_bytes));
+    const std::int64_t eb = manifest->element_bytes;
+    auto st = StripeStore::open(make_scheme(manifest->code_spec, manifest->kind), eb,
+                                file_factory(dir.path(), eb, GetParam()));
     ASSERT_TRUE(st.ok());
     ASSERT_TRUE(st.value()->restore(manifest->extents, manifest->stripes).ok());
 
@@ -307,10 +319,10 @@ TEST(PersistentStore, MultiExtentArchiveSurvivesReopen) {
     EXPECT_EQ(out.value(), expect);
 }
 
-TEST(PersistentStore, RestoreRejectsNonsense) {
+TEST_P(PersistentStore, RestoreRejectsNonsense) {
     TempDir dir("pstore_restore");
     auto st = StripeStore::open(make_scheme("rs:6,3", LayoutKind::ecfrm), 64,
-                                file_factory(dir.path(), 64));
+                                file_factory(dir.path(), 64, GetParam()));
     ASSERT_TRUE(st.ok());
     EXPECT_FALSE(st.value()->restore(-1, 0).ok());
     EXPECT_FALSE(st.value()->restore(1000000, 1).ok());  // exceeds capacity of 1 stripe
@@ -323,6 +335,9 @@ TEST(PersistentStore, RestoreRejectsNonsense) {
     std::vector<Extent> gapped{{0, 0, 64 * 4}, {64 * 4, 18, 64 * 2}};
     EXPECT_TRUE(st.value()->restore(std::move(gapped), 2).ok());
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, PersistentStore, ::testing::ValuesIn(kBackends),
+                         [](const auto& info) { return to_string(info.param); });
 
 }  // namespace
 }  // namespace ecfrm::store

@@ -60,9 +60,11 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 namespace ecfrm::store {
 namespace {
 
-/// What a 1-element healthy read cost while per-request state was kept
-/// in key-addressed maps; a read of any length must stay within it.
-constexpr std::int64_t kMaxAllocationsPerRead = 18;
+/// What a healthy read of any length costs: the plan's fetch list, load
+/// vector and schedule, the slot table and the round's output spans. A
+/// round that runs every queue inline (no async device, no pool) keeps
+/// its flights on the stack.
+constexpr std::int64_t kMaxAllocationsPerRead = 8;
 
 std::int64_t allocations_of_read(StripeStore& store, ElementId start, std::int64_t count,
                                  std::vector<std::uint8_t>& out) {

@@ -47,7 +47,6 @@
 #include "store/disk.h"
 #include "store/ec_pipeline.h"
 #include "store/fault_device.h"
-#include "store/file_disk.h"
 #include "store/io_backend.h"
 #include "store/manifest.h"
 #include "store/stripe_store.h"
@@ -209,9 +208,8 @@ Result<Archive> open_archive(const std::string& dir) {
     auto st = store::StripeStore::open(
         std::move(scheme), element_bytes,
         [&dir, element_bytes](int index) -> Result<std::unique_ptr<store::BlockDevice>> {
-            // Backend per ECFRM_IO_BACKEND (default: uring when the
-            // kernel has it, else pread); all backends share the
-            // archive's on-disk format.
+            // uring when the kernel has it, else pread; both share
+            // the archive's on-disk format.
             return store::open_file_device(dir, index, element_bytes);
         });
     if (!st.ok()) return st.error();
