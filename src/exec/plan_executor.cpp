@@ -405,14 +405,13 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
     std::vector<RowId> rows_left;
     std::vector<core::DiskRun> queues_left;
     std::vector<ByteSpan> outs;
-    DecodeScratch scratch;  // eager decode passes
 
     // Issue everything the plan wants that we don't already hold, one
     // flight per disk queue (devices serialise internally, so one queue
     // per device is the natural unit, and it is also the granularity the
     // tracer reports: the request finishes when the slowest queue does).
     // `fetch_node` is the round's phase span on the request trace;
-    // per-disk batches, retries, eager and hedge decodes hang under it.
+    // per-disk batches, retries and hedge decodes hang under it.
     auto fetch_round = [&](const AccessPlan& p, std::uint32_t fetch_node) -> FetchOutcome {
         FetchOutcome outcome;
         const auto& fetches = p.fetches();
@@ -521,7 +520,6 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
             r.outs = outs;
         }
 
-        std::size_t out_end = 0;  // one past the last flight that goes out
         for (std::size_t a = 0; a < r.flights.size(); ++a) {
             Flight& f = r.flights[a];
             static_cast<core::DiskRun&>(f) = queues[a];
@@ -537,10 +535,7 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
                     Flight& flight = shared->flights[a];
                     if (flight.claim()) run_pooled(*shared, flight);
                 });
-            } else {
-                continue;
             }
-            out_end = a + 1;
         }
 
         std::vector<DiskId> bad;
@@ -618,10 +613,10 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
                                  [&] { return f.state.load() == Flight::done; });
         };
 
-        // Reap in submission order through one completion routine. While
-        // a later flight is still out, let any recipe whose sources just
-        // landed decode now, overlapping that flight's I/O; with nothing
-        // left to overlap, the decode stage does the rest.
+        // Reap in submission order through one completion routine; the
+        // decode stage runs once every flight is in. Most async batches
+        // land from the page cache inside submit, so an earlier decode
+        // would have no I/O left to overlap.
         std::vector<std::size_t> stragglers;
         for (std::size_t a = 0; a < queues.size(); ++a) {
             Flight solo;
@@ -638,12 +633,6 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
                 continue;
             }
             finish_queue(f);
-            // Partial mode cannot fail: recipes missing sources are
-            // skipped and re-tried by the final decode stage.
-            if (a + 1 < out_end) {
-                (void)try_decode(p, slots, /*partial=*/true, TraceCtx{rt, fetch_node}, dest,
-                                 scratch);
-            }
         }
 
         if (!stragglers.empty()) {
@@ -778,41 +767,26 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
 
 Status PlanExecutor::decode(const AccessPlan& plan, std::vector<Slot>& slots, TraceCtx tc,
                             ReadDest dest) const {
-    DecodeScratch scratch;
-    return try_decode(plan, slots, /*partial=*/false, tc, dest, scratch);
-}
-
-Status PlanExecutor::try_decode(const AccessPlan& plan, std::vector<Slot>& slots, bool partial,
-                                TraceCtx tc, ReadDest dest, DecodeScratch& scratch) const {
     const ExecutorMetrics& m = metrics();
     const std::size_t first = plan.fetches().size();
-    std::vector<ConstByteSpan>& srcs = scratch.srcs;
-    std::vector<std::uint8_t>& coeffs = scratch.coeffs;
-    std::vector<ByteSpan>& target_span = scratch.target;
+    std::vector<ConstByteSpan> srcs;
+    std::vector<std::uint8_t> coeffs;
+    std::vector<ByteSpan> target_span;
     for (std::size_t d = 0; d < plan.decodes().size(); ++d) {
         const core::GroupDecode& decode = plan.decodes()[d];
         Slot& target = slots[first + d];
         // Recipes run in plan order (later recipes may chain on earlier
-        // targets); ones already satisfied by an eager pass are skipped,
-        // so each recipe is decoded and counted exactly once per fetch.
+        // targets); a target a replan carried over is already held.
         if (target.held) continue;
         const double decode_t0 = tc.rt != nullptr ? obs::forensic_now_us() : 0.0;
         srcs.clear();
         coeffs.clear();
-        bool ready = true;
         for (std::size_t t = 0; t < decode.sources.size(); ++t) {
             const Slot& source = slots[plan.slot(decode.sources[t])];
-            if (!source.held) {
-                if (partial) {
-                    ready = false;
-                    break;
-                }
-                return Error::internal("decode source missing from plan");
-            }
+            if (!source.held) return Error::internal("decode source missing from plan");
             srcs.push_back(source.buf.span());
             coeffs.push_back(decode.repair.terms[t].coeff);
         }
-        if (!ready) continue;
         if (target.buf.data() == nullptr) target.buf = make_element(decode.request, dest);
         target_span.assign(1, target.buf.span());
         // One fused single-destination pass (the target never appears

@@ -8,8 +8,7 @@
 //   - one submit/reap loop per fetch round: every queue is put in flight
 //     first (an async device batch, a pool task, or nothing yet for a
 //     queue the reaper runs inline), then reaped in submission order
-//     through one completion routine, with eager decode as sources land
-//     while I/O is still out to overlap;
+//     through one completion routine;
 //   - the self-healing policy: bounded retries with exponential backoff,
 //     per-op timeout detection, hedged reads that decode a straggling
 //     disk's elements from the others (the hedge deadline counts from
@@ -205,7 +204,7 @@ class PlanExecutor {
 
     /// Everything a completed fetch pipeline hands back: the plan that
     /// finally completed (after any replans), its slot table (every fetch
-    /// slot held; decode slots held when decoded eagerly), and the
+    /// slot held; decode slots held when a replan carried them over), and the
     /// exclusion set as grown by mid-flight discoveries.
     struct FetchResult {
         core::AccessPlan plan;
@@ -222,10 +221,8 @@ class PlanExecutor {
     /// an AsyncBatch on devices whose async_reads() is true (unless per-op
     /// timeouts are on), a pool task when a pool is attached and the
     /// round has several queues, otherwise a queue run inline when the
-    /// reaper reaches it. Flights are reaped in submission order; after
-    /// each one that a later async or pool flight is still overlapping,
-    /// decode recipes whose sources are all held run eagerly. In an
-    /// unhedged round the reaper runs a pool flight that no pool thread
+    /// reaper reaches it. Flights are reaped in submission order, and
+    /// every decode waits for the decode stage. In an unhedged round the reaper runs a pool flight that no pool thread
     /// has started yet itself, so no read waits on a pool wake-up. A
     /// hedged round (hedge_ms or auto_hedge, with a pool) makes every
     /// flight a pool task and gives each a deadline counted from its own
@@ -236,8 +233,8 @@ class PlanExecutor {
     /// When `rt` is given, the pipeline appends its causal tree to the
     /// request: contiguous `plan`/`fetch` phase spans per round directly
     /// under the root (so phase durations tile the request), with
-    /// per-disk batches, retries, backoff waits, timeouts, eager decodes
-    /// and hedge decodes as children of the round's fetch span.
+    /// per-disk batches, retries, backoff waits, timeouts and hedge
+    /// decodes as children of the round's fetch span.
     /// Requested elements land in `dest` (see ReadDest), except in hedged
     /// rounds, whose flights read into round-owned buffers so a straggler
     /// can outlive the requesting frame. A replan carries every held slot
@@ -248,8 +245,8 @@ class PlanExecutor {
     /// Run the plan's decode recipes, materialising each target slot from
     /// source slots already held. `tc` hangs a `decode.element` span per
     /// recipe under the caller's span. Recipes whose target is already
-    /// held (e.g. decoded eagerly during fetch) are skipped; requested
-    /// targets are decoded straight into `dest`.
+    /// held (carried over by a replan) are skipped; requested targets are
+    /// decoded straight into `dest`.
     Status decode(const core::AccessPlan& plan, std::vector<Slot>& slots, TraceCtx tc = {},
                   ReadDest dest = {}) const;
 
@@ -316,20 +313,6 @@ class PlanExecutor {
     Status submit_ops(DiskId disk, std::span<const RowId> rows, std::span<const Buf> bufs,
                       const RecoveryOptions& opts, std::size_t* done, TraceCtx tc,
                       const BatchOp& batch, const OneOp& one) const;
-
-    /// Reused gather lists of try_decode, so repeated eager passes do not
-    /// allocate.
-    struct DecodeScratch {
-        std::vector<ConstByteSpan> srcs;
-        std::vector<std::uint8_t> coeffs;
-        std::vector<ByteSpan> target;
-    };
-
-    /// Decode engine behind decode(): with `partial`, recipes whose
-    /// sources are not all held are skipped instead of failing (the eager
-    /// pass as per-disk completions arrive).
-    Status try_decode(const core::AccessPlan& plan, std::vector<Slot>& slots, bool partial,
-                      TraceCtx tc, ReadDest dest, DecodeScratch& scratch) const;
 
     /// Storage for the element at request index `request`: its place in
     /// `dest` when it lies wholly inside, else staging.

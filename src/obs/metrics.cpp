@@ -120,10 +120,13 @@ IoStats MetricRegistry::disk_io_stats(int disk) {
     describe("ecfrm_disk_in_flight_ops", "Device ops issued but not yet completed (live queue depth)");
     describe("ecfrm_disk_flushes_total", "Durability flushes (fflush/fsync) the device issued");
     describe("ecfrm_disk_batch_depth", "I/O ops one vectored submission put in flight at once");
+    describe("ecfrm_disk_cached_batches_total",
+             "Read batches the page cache served whole, without a ring submission");
     IoStats io;
     io.in_flight = &gauge("ecfrm_disk_in_flight_ops", labels);
     io.flushes = &counter("ecfrm_disk_flushes_total", labels);
     io.batch_depth = &histogram("ecfrm_disk_batch_depth", labels);
+    io.cached_batches = &counter("ecfrm_disk_cached_batches_total", labels);
     io.read_ops = &counter("ecfrm_disk_read_ops_total", labels);
     io.read_bytes = &counter("ecfrm_disk_read_bytes_total", labels);
     io.read_seconds = &histogram("ecfrm_disk_read_seconds", labels);

@@ -143,6 +143,9 @@ struct IoStats {
     // vectored submission put in flight at once — the in-kernel queue
     // depth the async backends achieve (ecfrm_disk_batch_depth).
     Histogram* batch_depth = nullptr;
+    // Read batches the page cache served whole, with no submission to a
+    // ring (ecfrm_disk_cached_batches_total).
+    Counter* cached_batches = nullptr;
 
     void on_read(std::int64_t bytes, double seconds) const {
         if (read_ops != nullptr) read_ops->add(1);
@@ -167,6 +170,9 @@ struct IoStats {
     }
     void on_batch_depth(std::int64_t depth) const {
         if (batch_depth != nullptr) batch_depth->record(static_cast<double>(depth));
+    }
+    void on_cached_batch() const {
+        if (cached_batches != nullptr) cached_batches->add(1);
     }
     void on_issue(std::int64_t ops = 1) const {
         if (in_flight != nullptr) in_flight->add(static_cast<double>(ops));

@@ -162,6 +162,9 @@ class EcPipeline {
     ThreadPool* pool_;
     const PipelineOptions options_;
 
+    /// Serialises append/flush: a sync encode releases mu_ mid-append,
+    /// and the stripes of one append must still commit back to back.
+    std::mutex append_mu_;
     mutable std::mutex mu_;
     std::condition_variable cv_;
     std::vector<std::uint8_t> tail_;

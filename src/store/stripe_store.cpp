@@ -185,19 +185,39 @@ std::int64_t StripeStore::unencoded_stripes() const {
 
 Status StripeStore::append(ConstByteSpan data) {
     std::lock_guard<std::mutex> wl(writer_mu_);
-    const std::int64_t stripe_bytes = stripe_data_bytes();
-    pending_.insert(pending_.end(), data.begin(), data.end());
+    const auto stripe_bytes = static_cast<std::size_t>(stripe_data_bytes());
     {
         auto lk = exclusive_lock();
         logical_bytes_ += static_cast<std::int64_t>(data.size());
     }
-    while (static_cast<std::int64_t>(pending_.size()) >= stripe_bytes) {
-        auto committed = commit_stripe(
-            ConstByteSpan(pending_.data(), static_cast<std::size_t>(stripe_bytes)), stripe_bytes,
-            /*with_parity=*/true);
-        if (!committed.ok()) return committed.error();
-        pending_.erase(pending_.begin(), pending_.begin() + static_cast<std::ptrdiff_t>(stripe_bytes));
+    // Whole stripes commit straight from `data`; only a partial stripe is
+    // buffered. A failed commit leaves its stripe and everything after it
+    // buffered, as if the append had not reached it.
+    auto commit = [&](ConstByteSpan stripe) {
+        auto committed = commit_stripe(stripe, static_cast<std::int64_t>(stripe_bytes),
+                                       /*with_parity=*/true);
+        return committed.ok() ? Status::success() : Status(committed.error());
+    };
+    if (!pending_.empty()) {
+        const std::size_t take = std::min(stripe_bytes - pending_.size(), data.size());
+        pending_.insert(pending_.end(), data.begin(), data.begin() + static_cast<std::ptrdiff_t>(take));
+        data = data.subspan(take);
+        if (pending_.size() < stripe_bytes) return Status::success();
+        auto st = commit(pending_);
+        if (!st.ok()) {
+            pending_.insert(pending_.end(), data.begin(), data.end());
+            return st;
+        }
+        pending_.clear();
     }
+    for (; data.size() >= stripe_bytes; data = data.subspan(stripe_bytes)) {
+        auto st = commit(data.first(stripe_bytes));
+        if (!st.ok()) {
+            pending_.assign(data.begin(), data.end());
+            return st;
+        }
+    }
+    pending_.assign(data.begin(), data.end());
     return Status::success();
 }
 
@@ -707,7 +727,7 @@ Status StripeStore::overwrite(std::int64_t offset, ConstByteSpan data) {
     return status;
 }
 
-Result<std::vector<std::uint8_t>> StripeStore::read_bytes(std::int64_t offset, std::int64_t length) {
+Result<Bytes> StripeStore::read_bytes(std::int64_t offset, std::int64_t length) {
     auto lk = reader_lock();
     if (offset < 0 || length < 0) return Error::range("negative read range");
     // Compare against differences, never sums: offset + length can
@@ -719,12 +739,13 @@ Result<std::vector<std::uint8_t>> StripeStore::read_bytes(std::int64_t offset, s
         }
         return Error::range("read beyond logical size");
     }
-    std::vector<std::uint8_t> out(static_cast<std::size_t>(length));
+    Bytes out(static_cast<std::size_t>(length));  // uninitialised
     if (length == 0) return out;
 
     // Walk the committed extents overlapping [offset, offset + length).
     // Each piece reads straight into `out`: whole elements land in place,
-    // and only a partial head or tail element is staged.
+    // and only a partial head or tail element is staged. The extents tile
+    // the range, so every byte of `out` is written exactly once.
     std::int64_t produced = 0;
     for (const Extent& e : extents_) {
         const std::int64_t e_end = e.logical_start + e.bytes;

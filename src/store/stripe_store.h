@@ -156,9 +156,11 @@ class StripeStore {
 
     /// Read `length` bytes at `offset` of the logical byte stream,
     /// transparently decoding around failed disks. Only committed bytes
-    /// are readable; flush() first to read a buffered tail. Thread-safe:
-    /// any number of reads may run concurrently.
-    Result<std::vector<std::uint8_t>> read_bytes(std::int64_t offset, std::int64_t length);
+    /// are readable; flush() first to read a buffered tail. The result is
+    /// allocated uninitialised and each byte is written once: by a device,
+    /// by the decoder, or by the copy of a partial head or tail element.
+    /// Thread-safe: any number of reads may run concurrently.
+    Result<Bytes> read_bytes(std::int64_t offset, std::int64_t length);
 
     /// Element-granular read into `out` (size count * element_bytes).
     Status read_elements(ElementId start, std::int64_t count, ByteSpan out);

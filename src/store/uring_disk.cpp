@@ -549,6 +549,37 @@ Status UringDisk::read_run(const Run& run, std::span<const ByteSpan> outs) const
 
 #if defined(ECFRM_HAVE_URING)
 
+bool UringDisk::read_cached(std::span<const Run> runs, std::span<const ByteSpan> outs) const {
+    if (runs.size() > kMaxCachedRuns || !nowait_.load(std::memory_order_relaxed)) return false;
+    std::vector<::iovec> scattered;
+    for (const Run& run : runs) {
+        const std::size_t want = outs[run.first].size() * run.count;
+        ::iovec whole{outs[run.first].data(), want};
+        const ::iovec* iov = &whole;
+        int iovcnt = 1;
+        if (!run.contiguous) {
+            if (run.count > static_cast<std::size_t>(IOV_MAX)) return false;
+            scattered.resize(run.count);
+            for (std::size_t j = 0; j < run.count; ++j) {
+                scattered[j] = {outs[run.first + j].data(), outs[run.first + j].size()};
+            }
+            iov = scattered.data();
+            iovcnt = static_cast<int>(run.count);
+        }
+        const ssize_t n = ::preadv2(data_fd_, iov, iovcnt, static_cast<off_t>(run.offset),
+                                    RWF_NOWAIT);
+        if (n == static_cast<ssize_t>(want)) continue;
+        // A kernel or filesystem without RWF_NOWAIT reads will never take
+        // this path; anything else (EAGAIN on a miss, a short read, EINTR,
+        // a real I/O error) is the ring's to retry or report.
+        if (n < 0 && (errno == EOPNOTSUPP || errno == EINVAL)) {
+            nowait_.store(false, std::memory_order_relaxed);
+        }
+        return false;
+    }
+    return true;
+}
+
 /// One in-flight io_uring batch: holds the device's shared lock (keeping
 /// fds open and failed() stable), a leased Ring, and the coalesced run
 /// list. Every run's SQE goes into the kernel at submit time; await()
@@ -558,7 +589,8 @@ Status UringDisk::read_run(const Run& run, std::span<const ByteSpan> outs) const
 class UringDisk::UringBatch final : public BlockDevice::AsyncBatch {
   public:
     UringBatch(const UringDisk* disk, std::shared_lock<std::shared_mutex> lock,
-               uring_detail::Ring* ring, std::vector<Run> runs, std::vector<ByteSpan> outs)
+               uring_detail::Ring* ring, std::vector<Run> runs, std::vector<ByteSpan> outs,
+               BlockDevice::BatchIoTimer timer)
         : disk_(disk),
           lock_(std::move(lock)),
           ring_(ring),
@@ -566,7 +598,7 @@ class UringDisk::UringBatch final : public BlockDevice::AsyncBatch {
           outs_(std::move(outs)),
           run_ok_(runs_.size(), false),
           run_pending_(runs_.size(), true),
-          timer_(disk->io_stats(), /*is_read=*/true, disk->element_bytes_, outs_.size()) {
+          timer_(timer) {
         submit_all();
     }
 
@@ -739,22 +771,29 @@ std::unique_ptr<BlockDevice::AsyncBatch> UringDisk::submit_read_batch(
         }
     }
 
+    // One timer per batch, whichever path serves it: a batch the page
+    // cache could not serve whole is timed and counted once, by the ring.
+    BatchIoTimer timer(io_stats(), /*is_read=*/true, element_bytes_, rows.size());
+    auto runs = coalesce(rows, outs, element_bytes_);
 #if defined(ECFRM_HAVE_URING)
     if (rings_ != nullptr && !rows.empty()) {
+        if (read_cached(runs, outs)) {
+            io_stats().on_cached_batch();
+            timer.done(rows.size(), false);
+            return std::make_unique<DoneBatch>(Status::success(), rows.size());
+        }
         if (uring_detail::Ring* ring = rings_->try_acquire()) {
-            auto runs = coalesce(rows, outs, element_bytes_);
             return std::make_unique<UringBatch>(this, std::move(lk), ring, std::move(runs),
-                                                std::vector<ByteSpan>(outs.begin(), outs.end()));
+                                                std::vector<ByteSpan>(outs.begin(), outs.end()),
+                                                timer);
         }
     }
 #endif
 
     // Blocking positional path (pread backend, uring unavailable, or every
     // ring busy). Still batched: one shared-lock hold, coalesced runs.
-    BatchIoTimer timer(io_stats(), /*is_read=*/true, element_bytes_, rows.size());
     std::size_t done = 0;
     auto status = [&]() -> Status {
-        const auto runs = coalesce(rows, outs, element_bytes_);
         for (const Run& run : runs) {
             auto st = read_run(run, outs);
             if (!st.ok()) return st;

@@ -14,19 +14,30 @@
 //     destination buffers are also contiguous in memory collapse into a
 //     single large read (the zero-copy fast path: an EC-FRM per-disk
 //     sequential batch lands in the caller's buffer with one op);
-//   - with the `uring` backend, a batch's coalesced runs map 1:1 onto
-//     io_uring SQEs submitted together (true per-disk in-kernel queue
-//     depth), with the data file registered as a fixed file and — when a
-//     BufferPool arena is attached — destinations inside the arena issued
-//     as registered-buffer fixed reads. The ring layer is a minimal raw
+//   - with the `uring` backend, a batch of at most kMaxCachedRuns runs
+//     first tries the page cache: each run is one preadv2(RWF_NOWAIT),
+//     which the kernel serves only from cached pages and never blocks
+//     on the device. When every run lands
+//     whole, submit_read_batch() returns a batch that is already
+//     complete, with no ring leased and no io_uring_enter. On any miss
+//     the whole batch goes to a ring (re-reading is idempotent), so cold
+//     data keeps its in-kernel queue depth and its overlap across disks;
+//     a kernel or filesystem that refuses RWF_NOWAIT turns the fast path
+//     off for the device for good;
+//   - on a ring, a batch's coalesced runs map 1:1 onto io_uring SQEs
+//     submitted together (true per-disk in-kernel queue depth), with the
+//     data file registered as a fixed file and — when a BufferPool arena
+//     is attached — destinations inside the arena issued as
+//     registered-buffer fixed reads. The ring layer is a minimal raw
 //     syscall shim (no liburing dependency); when the kernel lacks
 //     io_uring the device transparently degrades to the pread path.
 //
-// submit_read_batch() genuinely overlaps: it puts the whole batch in
-// flight and completes it in await(), which is how PlanExecutor overlaps
-// submission across disks.
+// A batch that goes to a ring genuinely overlaps: submit_read_batch()
+// puts it in flight and await() completes it, which is how PlanExecutor
+// overlaps submission across disks.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -80,6 +91,12 @@ class UringDisk final : public BlockDevice {
     /// runtime probe; false in ECFRM_WITH_URING=OFF builds).
     static bool uring_available();
 
+    /// Most coalesced runs a batch may have and still take the page-cache
+    /// fast path. From 4 runs up, one io_uring_enter moves cached runs
+    /// for less than a preadv2 each (EXPERIMENTS.md, "File-backend
+    /// comparison").
+    static constexpr std::size_t kMaxCachedRuns = 3;
+
   private:
     UringDisk(std::string data_path, std::string map_path, std::string failed_path,
               std::int64_t element_bytes, IoBackend backend, BufferPool* arena);
@@ -106,6 +123,13 @@ class UringDisk final : public BlockDevice {
     /// transfers). Shared lock held by the caller.
     Status read_run(const Run& run, std::span<const ByteSpan> outs) const;
 
+    /// The uring backend's page-cache fast path: one
+    /// preadv2(RWF_NOWAIT) per run, at most kMaxCachedRuns runs. True
+    /// only when every run landed in full; on false the buffers hold
+    /// unspecified bytes and the caller reads the whole batch again.
+    /// Shared lock held by the caller.
+    bool read_cached(std::span<const Run> runs, std::span<const ByteSpan> outs) const;
+
     class UringBatch;  // AsyncBatch implementation (uring_disk.cpp)
 
     std::string data_path_;
@@ -123,6 +147,8 @@ class UringDisk final : public BlockDevice {
     int map_fd_ = -1;
     std::vector<bool> written_;
     bool failed_ = false;
+    /// Cleared for good when the kernel refuses RWF_NOWAIT on this file.
+    mutable std::atomic<bool> nowait_{true};
 
     std::unique_ptr<uring_detail::RingPool> rings_;
 };

@@ -13,6 +13,7 @@
 #include "common/stats.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "common/types.h"
 
 namespace ecfrm {
 namespace {
@@ -43,6 +44,32 @@ TEST(Status, DefaultIsSuccess) {
     Status f(Error::io("disk on fire"));
     EXPECT_FALSE(f.ok());
     EXPECT_EQ(f.error().code, Error::Code::io_error);
+}
+
+// Bytes, the buffer StripeStore::read_bytes returns: views as a
+// ConstByteSpan, compares with std::vector<uint8_t> either way round, and
+// fills and copies like std::vector (only sized construction skips the
+// zero-fill).
+TEST(Bytes, ViewsAndComparesLikeAByteVector) {
+    Bytes bytes(3);
+    bytes[0] = 1;
+    bytes[1] = 2;
+    bytes[2] = 3;
+    const std::vector<std::uint8_t> same = {1, 2, 3};
+    const std::vector<std::uint8_t> shorter = {1, 2};
+    EXPECT_TRUE(bytes == same);
+    EXPECT_TRUE(same == bytes);
+    EXPECT_TRUE(bytes != shorter);
+    EXPECT_EQ(bytes, same);
+
+    const ConstByteSpan view = bytes;
+    EXPECT_EQ(view.data(), bytes.data());
+    EXPECT_EQ(view.size(), 3u);
+
+    const Bytes filled(4, 0x7f);
+    EXPECT_EQ(filled, std::vector<std::uint8_t>(4, 0x7f));
+    const Bytes copy = filled;
+    EXPECT_EQ(copy, filled);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

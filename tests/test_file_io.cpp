@@ -4,12 +4,16 @@
 // byte-identical on the same files, concurrent same-disk readers see
 // consistent bytes without serializing, offsets survive >2 GiB files,
 // batches coalesce, reject holes whole and persist, write batches need
-// no flush without ECFRM_FSYNC, the async batch contract holds, and the
-// BufferPool arena behaves.
+// no flush without ECFRM_FSYNC, the async batch contract holds, the
+// page-cache fast path serves cached batches without a ring and hands
+// cold or partly cold ones to it, and the BufferPool arena behaves.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <thread>
@@ -319,6 +323,151 @@ TEST_P(BackendTest, FailAndReplaceSemantics) {
     ASSERT_TRUE(disk.value()->write(2, ConstByteSpan(payload.data(), payload.size())).ok());
     ASSERT_TRUE(disk.value()->read(2, ByteSpan(out.data(), out.size())).ok());
     EXPECT_EQ(out, payload);
+}
+
+// --- Page-cache fast path --------------------------------------------
+//
+// One page per row, so a row range is exactly a page range to evict.
+constexpr std::int64_t kPageElem = 4096;
+constexpr RowId kPageRows = 16;
+
+/// Drop [first, first + count) rows of the data file at `path` from the
+/// page cache as a cold read would find them: fdatasync, then
+/// POSIX_FADV_DONTNEED. True when mincore confirms no page of the range
+/// is resident.
+bool evict_rows(const std::string& path, RowId first, RowId count) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) return false;
+    const auto offset = static_cast<off_t>(first * kPageElem);
+    const auto len = static_cast<std::size_t>(count * kPageElem);
+    bool evicted = ::fdatasync(fd) == 0 &&
+                   ::posix_fadvise(fd, offset, static_cast<off_t>(len), POSIX_FADV_DONTNEED) == 0;
+    void* map = ::mmap(nullptr, len, PROT_READ, MAP_SHARED, fd, offset);
+    if (map == MAP_FAILED) {
+        evicted = false;
+    } else {
+        std::vector<unsigned char> resident(static_cast<std::size_t>(count));
+        evicted = evicted && ::mincore(map, len, resident.data()) == 0 &&
+                  std::none_of(resident.begin(), resident.end(),
+                               [](unsigned char page) { return (page & 1) != 0; });
+        ::munmap(map, len);
+    }
+    ::close(fd);
+    return evicted;
+}
+
+/// A device of kPageRows written rows with per-disk metrics attached.
+struct PageRig {
+    explicit PageRig(const std::string& tag, IoBackend backend) : dir(tag) {
+        auto opened = UringDisk::open(dir.path(), 0, kPageElem, backend);
+        EXPECT_TRUE(opened.ok());
+        if (!opened.ok()) return;
+        disk = std::move(opened).take();
+        stats = registry.disk_io_stats(0);
+        disk->attach_io_stats(stats);
+        payload = random_bytes(static_cast<std::size_t>(kPageElem * kPageRows), 61);
+        for (RowId r = 0; r < kPageRows; ++r) {
+            EXPECT_TRUE(disk->write(r, ConstByteSpan(payload.data() + r * kPageElem, kPageElem)).ok());
+        }
+    }
+
+    /// Read `rows` as one batch into fresh buffers, element i at slot
+    /// `slot[i]` of one contiguous buffer; true when every byte matches.
+    bool read_exact(const std::vector<RowId>& rows, const std::vector<std::size_t>& slot) {
+        std::vector<std::uint8_t> out(rows.size() * kPageElem, 0x5A);
+        std::vector<ByteSpan> outs;
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            outs.emplace_back(out.data() + slot[i] * kPageElem, kPageElem);
+        }
+        std::size_t completed = 0;
+        if (!disk->submit_read_batch(rows, outs)->await(&completed).ok()) return false;
+        if (completed != rows.size()) return false;
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            if (std::memcmp(outs[i].data(), payload.data() + rows[i] * kPageElem, kPageElem) != 0) {
+                return false;
+            }
+        }
+        return true;
+    }
+
+    std::int64_t cached() const { return stats.cached_batches->value(); }
+    std::int64_t read_ops() const { return stats.read_ops->value(); }
+
+    TempDir dir;
+    obs::MetricRegistry registry;
+    obs::IoStats stats;
+    std::unique_ptr<UringDisk> disk;
+    std::vector<std::uint8_t> payload;
+};
+
+std::vector<std::size_t> in_order(std::size_t n) {
+    std::vector<std::size_t> slot(n);
+    for (std::size_t i = 0; i < n; ++i) slot[i] = i;
+    return slot;
+}
+
+// A batch the page cache holds (the rows were just written) is served by
+// the fast path: byte-exact, counted as a cached batch, so no ring saw
+// it. The batch mixes a run whose destinations are one memory run with a
+// run whose destinations are scattered. A batch of more runs than the
+// fast path takes goes to the ring, and the pread backend never takes
+// the fast path.
+TEST_P(BackendTest, CachedBatchIsExactWithoutRingSubmission) {
+    static_assert(UringDisk::kMaxCachedRuns == 3, "the batches below straddle the limit");
+    PageRig rig("fast_cached", GetParam());
+    ASSERT_NE(rig.disk, nullptr);
+    const std::vector<RowId> rows = {0, 1, 2, 3, 6, 7, 12};   // 3 runs
+    const std::vector<std::size_t> slot = {0, 1, 2, 3, 5, 4, 6};  // rows 6, 7 land swapped
+    ASSERT_TRUE(rig.read_exact(rows, slot));
+    EXPECT_EQ(rig.cached(), rig.disk->uring_active() ? 1 : 0);
+
+    const std::vector<RowId> many = {0, 2, 4, 6};  // 4 runs
+    ASSERT_TRUE(rig.read_exact(many, in_order(many.size())));
+    EXPECT_EQ(rig.cached(), rig.disk->uring_active() ? 1 : 0);
+}
+
+// After fdatasync + POSIX_FADV_DONTNEED on the device's own data file,
+// RWF_NOWAIT finds the pages missing, so the batch goes to the ring and is
+// still byte-exact; once the ring has read the pages back in, the same
+// batch is cached again.
+TEST_P(BackendTest, EvictedBatchFallsBackToRing) {
+    PageRig rig("fast_evicted", GetParam());
+    ASSERT_NE(rig.disk, nullptr);
+    const std::vector<RowId> rows = {0, 1, 2, 3, 4, 5, 9, 11};
+    const bool evicted = evict_rows(rig.disk->data_path(), 0, kPageRows);
+    ASSERT_TRUE(rig.read_exact(rows, in_order(rows.size())));
+    ASSERT_TRUE(rig.read_exact(rows, in_order(rows.size())));
+    if (!evicted) GTEST_SKIP() << "the page cache kept the evicted range; fallback unobserved";
+    EXPECT_EQ(rig.cached(), rig.disk->uring_active() ? 1 : 0);
+}
+
+// One run of every row, with rows 5-8 evicted: RWF_NOWAIT stops short at
+// the first missing page, and the ring re-reads the whole batch.
+TEST_P(BackendTest, PartlyCachedRunIsExact) {
+    PageRig rig("fast_partial", GetParam());
+    ASSERT_NE(rig.disk, nullptr);
+    std::vector<RowId> rows;
+    for (RowId r = 0; r < kPageRows; ++r) rows.push_back(r);
+    const bool evicted = evict_rows(rig.disk->data_path(), 5, 4);
+    ASSERT_TRUE(rig.read_exact(rows, in_order(rows.size())));
+    if (!evicted) GTEST_SKIP() << "the page cache kept the evicted range; fallback unobserved";
+    EXPECT_EQ(rig.cached(), 0);
+}
+
+// io_stats counts a batch once whichever path serves it: a fast-path
+// batch and a batch that missed and went to the ring each add their
+// elements to read_ops exactly once and leave nothing in flight.
+TEST_P(BackendTest, IoStatsCountEachBatchOnce) {
+    PageRig rig("fast_stats", GetParam());
+    ASSERT_NE(rig.disk, nullptr);
+    const std::vector<RowId> rows = {2, 3, 4, 10, 14};
+    ASSERT_TRUE(rig.read_exact(rows, in_order(rows.size())));
+    EXPECT_EQ(rig.read_ops(), 5);
+    (void)evict_rows(rig.disk->data_path(), 0, kPageRows);
+    ASSERT_TRUE(rig.read_exact(rows, in_order(rows.size())));
+    EXPECT_EQ(rig.read_ops(), 10);
+    EXPECT_EQ(rig.stats.read_errors->value(), 0);
+    EXPECT_EQ(rig.stats.in_flight->value(), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendTest, ::testing::ValuesIn(kBackends),

@@ -52,6 +52,43 @@ TEST(WritePipeline, ParseRepairPolicyRoundTrip) {
     EXPECT_EQ(bad.error().code, Error::Code::invalid_argument);
 }
 
+// Whole stripes commit straight from the caller's span and only a
+// partial stripe is buffered, in StripeStore::append and in
+// EcPipeline::append alike. Appends split into chunks of every size from
+// 1 byte to three stripes leave the same bytes and the same extents as
+// one append: a buffered tail topped up to a stripe, direct commits and
+// the remainder all line up.
+TEST(WritePipeline, SplitAppendsMatchOneAppend) {
+    constexpr std::int64_t kElem = 4;
+    const auto scheme = [] { return make_scheme("rs:4,2", LayoutKind::ecfrm); };
+    StripeStore reference(scheme(), kElem);
+    const auto stripe = static_cast<std::size_t>(reference.stripe_data_bytes());
+    const auto data = random_bytes(3 * stripe + stripe / 2 + 1, 41);
+    ASSERT_TRUE(reference.append(ConstByteSpan(data.data(), data.size())).ok());
+    ASSERT_TRUE(reference.flush().ok());
+
+    const ConstByteSpan all(data.data(), data.size());
+    for (std::size_t split = 1; split <= 3 * stripe; ++split) {
+        SCOPED_TRACE("split " + std::to_string(split));
+        StripeStore direct(scheme(), kElem);
+        StripeStore piped(scheme(), kElem);
+        {
+            EcPipeline pipeline(piped, nullptr);
+            for (std::size_t off = 0; off < data.size(); off += split) {
+                const ConstByteSpan chunk = all.subspan(off, std::min(split, data.size() - off));
+                ASSERT_TRUE(direct.append(chunk).ok());
+                ASSERT_TRUE(pipeline.append(chunk).ok());
+            }
+            ASSERT_TRUE(direct.flush().ok());
+            ASSERT_TRUE(pipeline.flush().ok());
+        }
+        for (StripeStore* store : {&direct, &piped}) {
+            EXPECT_EQ(store->extents(), reference.extents());
+            expect_store_matches(*store, data);
+        }
+    }
+}
+
 TEST(WritePipeline, AppendFlushByteRoundTrip) {
     // Irregular append sizes straddling stripe boundaries; after flush the
     // store is byte-identical, fully encoded and parity-consistent.
