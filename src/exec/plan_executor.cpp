@@ -613,10 +613,8 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
                                  [&] { return f.state.load() == Flight::done; });
         };
 
-        // Reap in submission order through one completion routine; the
-        // decode stage runs once every flight is in. Most async batches
-        // land from the page cache inside submit, so an earlier decode
-        // would have no I/O left to overlap.
+        // Reap in submission order; the decode stage runs once every
+        // flight is in.
         std::vector<std::size_t> stragglers;
         for (std::size_t a = 0; a < queues.size(); ++a) {
             Flight solo;

@@ -222,13 +222,14 @@ class PlanExecutor {
     /// timeouts are on), a pool task when a pool is attached and the
     /// round has several queues, otherwise a queue run inline when the
     /// reaper reaches it. Flights are reaped in submission order, and
-    /// every decode waits for the decode stage. In an unhedged round the reaper runs a pool flight that no pool thread
-    /// has started yet itself, so no read waits on a pool wake-up. A
-    /// hedged round (hedge_ms or auto_hedge, with a pool) makes every
-    /// flight a pool task and gives each a deadline counted from its own
-    /// start; only flights still running past it have their elements
-    /// decoded from the other disks (rebuild_element), and the round
-    /// returns without joining them.
+    /// every decode waits for the decode stage. In an unhedged round the
+    /// reaper runs a pool flight that no pool thread has started yet
+    /// itself, so no read waits on a pool wake-up. A hedged round
+    /// (hedge_ms or auto_hedge, with a pool) makes every flight a pool
+    /// task and gives each a deadline counted from its own start; only
+    /// flights still running past it have their elements decoded from the
+    /// other disks (rebuild_element), and the round returns without
+    /// joining them.
     ///
     /// When `rt` is given, the pipeline appends its causal tree to the
     /// request: contiguous `plan`/`fetch` phase spans per round directly

@@ -52,23 +52,32 @@ void EcPipeline::publish_depth_locked() {
 }
 
 Status EcPipeline::append(ConstByteSpan data) {
-    const std::size_t stripe_bytes = static_cast<std::size_t>(store_.stripe_data_bytes());
-    const auto whole = static_cast<std::int64_t>(stripe_bytes);
     std::lock_guard<std::mutex> order(append_mu_);
     std::unique_lock<std::mutex> lock(mu_);
+    return append_locked(lock, data);
+}
+
+Status EcPipeline::append_locked(std::unique_lock<std::mutex>& lock, ConstByteSpan data) {
+    const std::size_t stripe_bytes = static_cast<std::size_t>(store_.stripe_data_bytes());
+    const auto whole = static_cast<std::int64_t>(stripe_bytes);
     // Whole stripes are copied once, straight from `data`, into the buffer
     // the encode retains; only a partial stripe is kept in tail_. A failed
-    // commit drops its stripe and keeps everything after it.
-    if (!tail_.empty()) {
-        const std::size_t take = std::min(stripe_bytes - tail_.size(), data.size());
-        tail_.insert(tail_.end(), data.begin(), data.begin() + static_cast<std::ptrdiff_t>(take));
-        data = data.subspan(take);
-        if (tail_.size() < stripe_bytes) return Status::success();
-        auto buf = std::make_shared<std::vector<std::uint8_t>>(std::move(tail_));
-        tail_.clear();
+    // commit drops its stripe and keeps everything after it, so tail_ may
+    // hold whole stripes: they commit first.
+    while (!tail_.empty()) {
+        if (tail_.size() < stripe_bytes) {
+            const std::size_t take = std::min(stripe_bytes - tail_.size(), data.size());
+            tail_.insert(tail_.end(), data.begin(),
+                         data.begin() + static_cast<std::ptrdiff_t>(take));
+            data = data.subspan(take);
+            if (tail_.size() < stripe_bytes) return Status::success();
+        }
+        auto buf = std::make_shared<std::vector<std::uint8_t>>(
+            tail_.begin(), tail_.begin() + static_cast<std::ptrdiff_t>(stripe_bytes));
+        tail_.erase(tail_.begin(), tail_.begin() + static_cast<std::ptrdiff_t>(stripe_bytes));
         auto st = commit_stripe_locked(lock, std::move(buf), whole);
         if (!st.ok()) {
-            tail_.assign(data.begin(), data.end());
+            tail_.insert(tail_.end(), data.begin(), data.end());
             return st;
         }
     }
@@ -88,15 +97,22 @@ Status EcPipeline::append(ConstByteSpan data) {
 
 Status EcPipeline::flush() {
     const std::size_t stripe_bytes = static_cast<std::size_t>(store_.stripe_data_bytes());
-    std::lock_guard<std::mutex> order(append_mu_);
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!tail_.empty()) {
-        const std::int64_t user_bytes = static_cast<std::int64_t>(tail_.size());
-        tail_.resize(stripe_bytes, 0);
-        auto buf = std::make_shared<std::vector<std::uint8_t>>(std::move(tail_));
-        tail_.clear();
-        auto st = commit_stripe_locked(lock, std::move(buf), user_bytes);
+    std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
+    {
+        // Appends are excluded only until the tail is committed, not
+        // while the encode backlog drains.
+        std::lock_guard<std::mutex> order(append_mu_);
+        lock.lock();
+        auto st = append_locked(lock, {});
         if (!st.ok()) return st;
+        if (!tail_.empty()) {
+            const std::int64_t user_bytes = static_cast<std::int64_t>(tail_.size());
+            tail_.resize(stripe_bytes, 0);
+            auto buf = std::make_shared<std::vector<std::uint8_t>>(std::move(tail_));
+            tail_.clear();
+            st = commit_stripe_locked(lock, std::move(buf), user_bytes);
+            if (!st.ok()) return st;
+        }
     }
     cv_.wait(lock, [&] { return pending_.empty(); });
     return first_encode_error_;

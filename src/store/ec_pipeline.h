@@ -142,6 +142,9 @@ class EcPipeline {
         double requested_at = 0.0;  // steady seconds
     };
 
+    /// Commit tail_ and `data` as whole stripes and keep the remainder
+    /// in tail_. Caller holds append_mu_ and `lock` on mu_.
+    Status append_locked(std::unique_lock<std::mutex>& lock, ConstByteSpan data);
     /// Commit one full retained stripe buffer (caller holds `lock` on
     /// mu_): data-only commit, then either queue the parity encode or —
     /// at the watermark / with no pool — encode synchronously with the

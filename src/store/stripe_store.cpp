@@ -185,30 +185,38 @@ std::int64_t StripeStore::unencoded_stripes() const {
 
 Status StripeStore::append(ConstByteSpan data) {
     std::lock_guard<std::mutex> wl(writer_mu_);
-    const auto stripe_bytes = static_cast<std::size_t>(stripe_data_bytes());
     {
         auto lk = exclusive_lock();
         logical_bytes_ += static_cast<std::int64_t>(data.size());
     }
+    return append_locked(data);
+}
+
+Status StripeStore::append_locked(ConstByteSpan data) {
+    const auto stripe_bytes = static_cast<std::size_t>(stripe_data_bytes());
     // Whole stripes commit straight from `data`; only a partial stripe is
     // buffered. A failed commit leaves its stripe and everything after it
-    // buffered, as if the append had not reached it.
+    // buffered, so the buffer may hold whole stripes: they commit first.
     auto commit = [&](ConstByteSpan stripe) {
         auto committed = commit_stripe(stripe, static_cast<std::int64_t>(stripe_bytes),
                                        /*with_parity=*/true);
         return committed.ok() ? Status::success() : Status(committed.error());
     };
-    if (!pending_.empty()) {
-        const std::size_t take = std::min(stripe_bytes - pending_.size(), data.size());
-        pending_.insert(pending_.end(), data.begin(), data.begin() + static_cast<std::ptrdiff_t>(take));
-        data = data.subspan(take);
-        if (pending_.size() < stripe_bytes) return Status::success();
-        auto st = commit(pending_);
+    while (!pending_.empty()) {
+        if (pending_.size() < stripe_bytes) {
+            const std::size_t take = std::min(stripe_bytes - pending_.size(), data.size());
+            pending_.insert(pending_.end(), data.begin(),
+                            data.begin() + static_cast<std::ptrdiff_t>(take));
+            data = data.subspan(take);
+            if (pending_.size() < stripe_bytes) return Status::success();
+        }
+        auto st = commit(ConstByteSpan(pending_.data(), stripe_bytes));
         if (!st.ok()) {
             pending_.insert(pending_.end(), data.begin(), data.end());
             return st;
         }
-        pending_.clear();
+        pending_.erase(pending_.begin(),
+                       pending_.begin() + static_cast<std::ptrdiff_t>(stripe_bytes));
     }
     for (; data.size() >= stripe_bytes; data = data.subspan(stripe_bytes)) {
         auto st = commit(data.first(stripe_bytes));
@@ -223,14 +231,18 @@ Status StripeStore::append(ConstByteSpan data) {
 
 Status StripeStore::flush() {
     std::lock_guard<std::mutex> wl(writer_mu_);
-    if (pending_.empty()) return Status::success();
+    auto drained = append_locked({});
+    if (!drained.ok() || pending_.empty()) return drained;
     const std::int64_t stripe_bytes = stripe_data_bytes();
     const auto user_bytes = static_cast<std::int64_t>(pending_.size());
     pending_.resize(static_cast<std::size_t>(stripe_bytes), 0);
     auto committed = commit_stripe(
         ConstByteSpan(pending_.data(), static_cast<std::size_t>(stripe_bytes)), user_bytes,
         /*with_parity=*/true);
-    if (!committed.ok()) return committed.error();
+    if (!committed.ok()) {
+        pending_.resize(static_cast<std::size_t>(user_bytes));  // the padding is not user data
+        return committed.error();
+    }
     pending_.clear();
     return Status::success();
 }

@@ -281,6 +281,10 @@ class StripeStore {
     /// group-major), pool-parallel across groups.
     Status compute_stripe_parity(ConstByteSpan stripe_data,
                                  std::vector<AlignedBuffer>& parity_bufs) const;
+    /// Commit the buffered tail and `data` as whole stripes and buffer
+    /// the remainder. Caller holds writer_mu_ and has counted `data` in
+    /// logical_bytes_.
+    Status append_locked(ConstByteSpan data);
     /// Encode (optionally) + write + commit one stripe. Caller holds
     /// writer_mu_ and NOT mu_; only the manifest update takes mu_
     /// exclusively. with_parity=false commits data-only and marks the

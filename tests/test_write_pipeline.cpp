@@ -13,7 +13,9 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
+#include "store/disk.h"
 #include "store/ec_pipeline.h"
+#include "store/fault_device.h"
 #include "store/stripe_store.h"
 
 namespace ecfrm::store {
@@ -86,6 +88,69 @@ TEST(WritePipeline, SplitAppendsMatchOneAppend) {
             EXPECT_EQ(store->extents(), reference.extents());
             expect_store_matches(*store, data);
         }
+    }
+}
+
+// A commit that fails part-way through an append leaves the bytes after
+// its stripe buffered, more than one stripe of them. The next append, or
+// flush, commits those whole stripes before it takes new bytes.
+// StripeStore::append keeps the failed stripe buffered and retries it;
+// EcPipeline::append drops it.
+TEST(WritePipeline, AppendAfterFailedCommitKeepsBufferedStripes) {
+    constexpr std::int64_t kElem = 4;
+    const auto scheme = [] { return make_scheme("rs:4,2", LayoutKind::ecfrm); };
+    // Disk 0 fails its first three writes: the first stripe's write to it
+    // and both of the executor's retries.
+    FaultPlan plan;
+    plan.rules.push_back(
+        {.kind = FaultKind::transient, .disk = 0, .op = FaultOp::write, .first_op = 0, .count = 3});
+    auto open_faulty = [&] {
+        auto store = StripeStore::open(
+            scheme(), kElem, [&](int index) -> Result<std::unique_ptr<BlockDevice>> {
+                return std::unique_ptr<BlockDevice>(
+                    std::make_unique<FaultDevice>(std::make_unique<Disk>(kElem), plan, index));
+            });
+        EXPECT_TRUE(store.ok());
+        return std::move(store).take();
+    };
+    auto extents_of_one_append = [&](ConstByteSpan bytes) {
+        StripeStore store(scheme(), kElem);
+        EXPECT_TRUE(store.append(bytes).ok());
+        EXPECT_TRUE(store.flush().ok());
+        return store.extents();
+    };
+
+    const auto stripe =
+        static_cast<std::size_t>(StripeStore(scheme(), kElem).stripe_data_bytes());
+    const auto data = random_bytes(3 * stripe + stripe / 2 + 1, 43);
+    const ConstByteSpan all(data.data(), data.size());
+    for (const bool append_again : {true, false}) {
+        SCOPED_TRACE(append_again ? "append again" : "flush only");
+        const ConstByteSpan first = append_again ? all.first(2 * stripe + stripe / 2) : all;
+        const ConstByteSpan rest = all.subspan(first.size());
+        auto direct = open_faulty();
+        auto piped = open_faulty();
+        {
+            EcPipeline pipeline(*piped, nullptr);
+            EXPECT_FALSE(direct->append(first).ok());
+            EXPECT_FALSE(pipeline.append(first).ok());
+            EXPECT_EQ(direct->committed_bytes(), 0);
+            EXPECT_EQ(piped->committed_bytes(), 0);
+            if (append_again) {
+                ASSERT_TRUE(direct->append(rest).ok());
+                ASSERT_TRUE(pipeline.append(rest).ok());
+            }
+            ASSERT_TRUE(direct->flush().ok());
+            ASSERT_TRUE(pipeline.flush().ok());
+        }
+        EXPECT_EQ(direct->logical_bytes(), static_cast<std::int64_t>(data.size()));
+        EXPECT_EQ(direct->extents(), extents_of_one_append(all));
+        expect_store_matches(*direct, data);
+        const std::vector<std::uint8_t> kept(data.begin() + static_cast<std::ptrdiff_t>(stripe),
+                                             data.end());
+        EXPECT_EQ(piped->logical_bytes(), static_cast<std::int64_t>(kept.size()));
+        EXPECT_EQ(piped->extents(), extents_of_one_append(all.subspan(stripe)));
+        expect_store_matches(*piped, kept);
     }
 }
 
